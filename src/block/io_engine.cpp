@@ -272,7 +272,7 @@ void IoEngine::disarm(std::uint32_t chan, std::uint16_t token) noexcept {
   auto& table = channels_[chan]->pending;
   if (token >= table.size() || table[token] == nullptr) return;
   table[token] = nullptr;
-  --pending_count_;
+  if (--pending_count_ == 0) transport_.on_drained();
 }
 
 void IoEngine::resolve(PendingCmd* cmd, CmdOutcome outcome) {
@@ -518,6 +518,7 @@ void IoEngine::fail_pending(std::uint32_t chan) {
     out.kind = CmdOutcome::Kind::timed_out;
     resolve(cmd, std::move(out));
   }
+  if (!doomed.empty() && pending_count_ == 0) transport_.on_drained();
 }
 
 void IoEngine::fail_all_pending() {

@@ -97,6 +97,10 @@ class IoTransport {
   /// A command was armed on `chan` (completions are coming): wake an idle
   /// completion poller if the backend parks one.
   virtual void on_armed(std::uint32_t chan) { (void)chan; }
+
+  /// The last armed command left (completed, timed out or failed): the
+  /// engine is idle now.
+  virtual void on_drained() {}
 };
 
 /// Legacy per-backend counters the engine feeds so existing dashboards and

@@ -1,27 +1,55 @@
 #include "common/bytes.hpp"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace nvmeshare {
 
 namespace {
-// Cheap counter-mode mixer; byte i of stream `seed` is mix(seed, i).
-std::uint8_t pattern_byte(std::uint64_t seed, std::size_t i) {
-  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (i / 8 + 1));
+// Cheap counter-mode mixer: word w (bytes 8w..8w+7) of stream `seed` is
+// mix(seed, w), stored little-endian.
+std::uint64_t pattern_word(std::uint64_t seed, std::size_t w) {
+  std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (w + 1));
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::uint8_t>(x >> ((i % 8) * 8));
+  return x ^ (x >> 31);
+}
+
+/// `x` as it reads when stored little-endian and loaded natively.
+std::uint64_t as_le(std::uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return x;
+  } else {
+    std::uint64_t out = 0;
+    for (int b = 0; b < 8; ++b) out = (out << 8) | ((x >> (8 * b)) & 0xff);
+    return out;
+  }
 }
 }  // namespace
 
 void fill_pattern(ByteSpan dst, std::uint64_t seed) {
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = std::byte{pattern_byte(seed, i)};
+  const std::size_t words = dst.size() / 8;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t x = as_le(pattern_word(seed, w));
+    std::memcpy(dst.data() + 8 * w, &x, 8);
+  }
+  const std::uint64_t tail = pattern_word(seed, words);
+  for (std::size_t i = 8 * words; i < dst.size(); ++i) {
+    dst[i] = std::byte{static_cast<std::uint8_t>(tail >> (8 * (i % 8)))};
+  }
 }
 
 bool check_pattern(ConstByteSpan buf, std::uint64_t seed) {
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    if (buf[i] != std::byte{pattern_byte(seed, i)}) return false;
+  const std::size_t words = buf.size() / 8;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t x;
+    std::memcpy(&x, buf.data() + 8 * w, 8);
+    if (x != as_le(pattern_word(seed, w))) return false;
+  }
+  const std::uint64_t tail = pattern_word(seed, words);
+  for (std::size_t i = 8 * words; i < buf.size(); ++i) {
+    if (buf[i] != std::byte{static_cast<std::uint8_t>(tail >> (8 * (i % 8)))}) return false;
   }
   return true;
 }

@@ -280,7 +280,11 @@ Result<sim::Time> PoolFabric::post_write(const Initiator& who, std::uint64_t add
       NVS_LOG(warn, "cxl") << "posted store dropped at target: " << st.to_string();
       ++stats_.unsupported_requests;
     }
+    if (t.kind != Resolved::Kind::bar) note_landed(space_of(t), t.addr, d.size());
   });
+  if (target->kind != Resolved::Kind::bar) {
+    note_issued(space_of(*target), target->addr, data.size(), arrival);
+  }
   return arrival;
 }
 
@@ -350,6 +354,11 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
     payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i].kind != Resolved::Kind::bar) {
+      note_issued(space_of(targets[i]), targets[i].addr, sg[i].len, arrival);
+    }
+  }
   engine_.at(arrival,
              [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() {
                std::size_t off = 0;
@@ -359,6 +368,9 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
                      !st) {
                    NVS_LOG(warn, "cxl") << "scatter store chunk dropped: " << st.to_string();
                    ++stats_.unsupported_requests;
+                 }
+                 if (targets[i].kind != Resolved::Kind::bar) {
+                   note_landed(space_of(targets[i]), targets[i].addr, chunk);
                  }
                  off += sg[i].len;
                }
@@ -497,7 +509,11 @@ sim::Duration PoolFabric::copy_cost_ns(HostId owner, std::uint64_t bytes) const 
 Status PoolFabric::do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) {
   auto target = resolve(host, addr, data.size());
   if (!target) return target.status();
-  return apply_write(*target, data);
+  Status st = apply_write(*target, data);
+  if (target->kind != Resolved::Kind::bar) {
+    note_applied(space_of(*target), target->addr, data.size());
+  }
+  return st;
 }
 
 Status PoolFabric::do_peek(HostId host, std::uint64_t addr, ByteSpan out) {

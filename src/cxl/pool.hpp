@@ -174,6 +174,10 @@ class PoolFabric final : public fabric::Substrate {
 
   [[nodiscard]] Result<Resolved> resolve(HostId viewer, std::uint64_t addr,
                                          std::uint64_t len) const;
+  /// Space whose memory a dram or pool target is (its watch key).
+  [[nodiscard]] HostId space_of(const Resolved& t) const noexcept {
+    return t.kind == Resolved::Kind::pool ? pool_space() : t.host;
+  }
   /// Port check for a resolved target seen from `viewer`.
   [[nodiscard]] Status check_reachable(HostId viewer, const Resolved& t) const;
   Status apply_write(const Resolved& t, ConstByteSpan data);

@@ -82,8 +82,8 @@ Client::Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceI
       iommu_(cfg.iommu) {}
 
 Client::~Client() {
-  *stop_ = true;
-  if (poller_kick_) poller_kick_->set();  // let an idle poller observe the stop and exit
+  halt_poller();
+  if (cq_grid_) fabric().unwatch(*cq_grid_);
   if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
 }
 
@@ -135,7 +135,11 @@ std::uint16_t Client::trace_qid(std::uint32_t chan) const { return qids_[chan]; 
 
 void Client::on_armed(std::uint32_t chan) {
   (void)chan;
-  poller_kick_->set();  // completions are coming: wake the idle poller
+  cq_grid_->kick();  // completions are coming: wake the idle poller
+}
+
+void Client::on_drained() {
+  cq_grid_->changed();  // a sleeping poller's next round would see the idle engine
 }
 
 std::uint64_t Client::sq_stride_bytes() const noexcept {
@@ -464,7 +468,12 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   if (c.cfg_.data_path == DataPath::bounce_buffer) {
     c.max_transfer_ = std::min(c.max_transfer_, c.cfg_.slot_bytes);
   }
-  c.poller_kick_ = std::make_unique<sim::Event>(engine);
+  // CQ entries trail their command by far more than one poll interval, so
+  // a sleeping poller can always resume a tick before one lands.
+  c.cq_grid_ = std::make_unique<sim::PollGrid>(engine, c.cfg_.costs.poll_interval_ns,
+                                               /*landings_lead=*/true);
+  const sisci::RemoteSegment cq_mem = c.cq_seg_.descriptor();
+  fabric.watch(cq_mem.owner, cq_mem.phys_addr, cq_mem.size, *c.cq_grid_);
   // The private-base conversion must happen here, where Client's bases are
   // accessible (make_unique's internals cannot see it).
   block::IoTransport& transport = c;
@@ -1072,16 +1081,13 @@ sim::Task Client::delete_share_task(std::uint32_t tenant, sim::Promise<Status> p
 }
 
 sim::Task Client::poller(std::shared_ptr<bool> stop) {
-  sim::Engine& eng = engine();
   for (;;) {
     if (*stop) co_return;
     if (engine_io_->idle()) {
       // Nothing in flight: a real polling driver would spin, but the
       // latency effect is identical if we sleep until the next submission
       // (the poll cadence only matters while a completion is pending).
-      poller_kick_->reset();
-      co_await poller_kick_->wait();
-      if (*stop) co_return;
+      co_await cq_grid_->idle();
       continue;
     }
     std::array<nvme::CompletionEntry, 32> cqes;
@@ -1102,9 +1108,17 @@ sim::Task Client::poller(std::shared_ptr<bool> stop) {
       if (delivered) (void)qps_[chan]->ring_cq_doorbell();
     }
     ++stats_.poll_rounds;
-    co_await sim::delay(eng, cfg_.costs.poll_interval_ns);
+    // Rounds that cannot see a new CQE are counted, not run (sim::PollGrid).
+    // An idle engine must be noticed by the very next round.
+    const std::uint64_t skipped = co_await cq_grid_->next(engine_io_->idle());
     if (*stop) co_return;
+    stats_.poll_rounds += skipped;
   }
+}
+
+void Client::halt_poller() {
+  *stop_ = true;
+  if (cq_grid_) stats_.poll_rounds += cq_grid_->halt();
 }
 
 // --- fault recovery -------------------------------------------------------------------
@@ -1113,8 +1127,7 @@ void Client::crash() {
   if (crashed_) return;
   crashed_ = true;
   attached_ = false;
-  *stop_ = true;
-  if (poller_kick_) poller_kick_->set();
+  halt_poller();
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
   // Resolve every in-flight wait so callers observe the death (as an
   // `aborted` completion) instead of hanging the simulation. Nothing is
@@ -1154,6 +1167,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   const std::uint64_t cq_ring_bytes = cq_stride_bytes();
   (void)cq_seg_.write(chan * cq_ring_bytes, Bytes(cq_ring_bytes, std::byte{0}));
   (void)sq_seg_.write(chan * sq_ring_bytes, Bytes(sq_ring_bytes, std::byte{0}));
+  cq_grid_->changed();  // the zeroed ring is visible to the next round
 
   // Same segments, same DMA windows, fresh queue id. Retry with backoff:
   // right after a controller reset the manager may still be re-enabling.
@@ -1185,6 +1199,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   }
   if (created) {
     qps_[chan] = make_queue_pair(chan, qids_[chan]);
+    cq_grid_->changed();  // the next round reaps the fresh pair
     if (cfg_.channels == 1) {
       name_ = "nvsh-n" + std::to_string(node_) + "-q" + std::to_string(qids_[0]);
     }
@@ -1256,7 +1271,7 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
     for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) req.qids[ch] = qids_[ch];
   }
   auto resp = co_await mailbox_call(req);
-  *stop_ = true;  // stop poller after the RPC (it uses the fabric, not the QP)
+  halt_poller();  // after the RPC (it uses the fabric, not the QP)
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
   if (!resp) {
     promise.set(resp.status());
@@ -1274,6 +1289,7 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
   prp_win_ = smartio::DmaWindow{};
   sq_cpu_map_ = sisci::Map{};
   sq_seg_.release();
+  fabric().unwatch(*cq_grid_);
   cq_seg_.release();
   bounce_seg_.release();
   prp_seg_.release();

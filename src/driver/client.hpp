@@ -35,6 +35,7 @@
 #include "mux/mux.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
+#include "sim/poll_grid.hpp"
 #include "smartio/smartio.hpp"
 
 namespace nvmeshare::driver {
@@ -214,6 +215,8 @@ class Client final : public block::BlockDevice, private block::IoTransport {
     obs::Counter manager_failovers;  ///< re-resolves that found a new manager
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// The CQ poller's grid (null before attach).
+  [[nodiscard]] const sim::PollGrid* cq_poll_grid() const noexcept { return cq_grid_.get(); }
 
  private:
   Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceId device, Config cfg);
@@ -233,6 +236,8 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   /// Build the multiplexer on first use, wired to dispatch through io_task.
   mux::QpMultiplexer& ensure_mux();
   sim::Task poller(std::shared_ptr<bool> stop);
+  /// Set the stop flag and settle a sleeping poller's skipped rounds.
+  void halt_poller();
   sim::Task detach_task(sim::Promise<Status> promise);
   sim::Task recover_task(std::uint32_t chan, std::shared_ptr<bool> stop);
   sim::Task heartbeat_task(std::shared_ptr<bool> stop);
@@ -250,6 +255,7 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   void start_recovery(std::uint32_t chan) override;
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
   void on_armed(std::uint32_t chan) override;
+  void on_drained() override;
 
   [[nodiscard]] sim::Engine& engine();
   [[nodiscard]] fabric::Substrate& fabric();
@@ -303,7 +309,9 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   std::unique_ptr<block::IoEngine> engine_io_;
   std::uint32_t max_transfer_ = 0;
 
-  std::unique_ptr<sim::Event> poller_kick_;  ///< wakes the idle poller on submit
+  /// The poller's rounds; told about every write into the CQ segment and
+  /// kicked on submit while idle.
+  std::unique_ptr<sim::PollGrid> cq_grid_;
   std::unique_ptr<sim::Semaphore> mailbox_lock_;
   /// Tenant multiplexing state. `own_range_` confines the client's own
   /// traffic once shares exist (empty = full range, the seed path).

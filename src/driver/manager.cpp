@@ -62,6 +62,7 @@ Manager::Manager(smartio::Service& service, smartio::NodeId node, smartio::Devic
 
 Manager::~Manager() {
   shutdown();
+  if (mbox_grid_) fabric().unwatch(*mbox_grid_);
   if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
 }
 
@@ -75,12 +76,12 @@ std::uint16_t Manager::active_queue_pairs() const {
 void Manager::shutdown() {
   if (standby_) {  // still watching: nothing published, just stop the watch
     standby_ = false;
-    *stop_ = true;
+    halt_tasks();
     return;
   }
   if (!serving_) return;
   serving_ = false;
-  *stop_ = true;
+  halt_tasks();
   // Only withdraw the registration while it still names this instance — a
   // fenced or superseded manager must not clobber its successor's.
   auto loc = service_.device_metadata(device_id_);
@@ -93,7 +94,7 @@ void Manager::crash() {
   if (crashed_) return;
   crashed_ = true;
   serving_ = false;
-  *stop_ = true;
+  halt_tasks();
   // Deliberately NO clear_device_metadata: a dead process cannot clean up
   // after itself. The metadata segment survives in this host's DRAM, so
   // clients find a mailbox that nobody answers — their calls time out.
@@ -415,8 +416,19 @@ sim::Task Manager::admin_task(SubmissionEntry entry,
   }
 }
 
+void Manager::halt_tasks() {
+  *stop_ = true;
+  if (mbox_grid_) (void)mbox_grid_->halt();
+}
+
 sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
-  sim::Engine& eng = engine();
+  // A client's request lands within one scan interval of being posted, so
+  // the grid may not assume a lead; it files late rounds with at_born().
+  mbox_grid_ = std::make_unique<sim::PollGrid>(engine(), cfg_.mailbox_poll_ns,
+                                               /*landings_lead=*/false);
+  const sisci::RemoteSegment meta = metadata_seg_.descriptor();
+  fabric().watch(meta.owner, meta.phys_addr + mbox_slot_offset(header_, 0),
+                 std::uint64_t{header_.mailbox_slots} * sizeof(MboxSlot), *mbox_grid_);
   for (;;) {
     if (*stop) co_return;
     bool worked = false;
@@ -433,8 +445,10 @@ sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
       co_await handle_slot_await(i, slot, stop);
       if (*stop) co_return;
     }
-    (void)worked;
-    co_await sim::delay(eng, cfg_.mailbox_poll_ns);
+    // Scans that cannot see a new request are skipped (sim::PollGrid); after
+    // serving one, the next scan runs, as requests may have landed meanwhile
+    // in slots already passed.
+    (void)co_await mbox_grid_->next(worked);
     if (*stop) co_return;
   }
 }
@@ -1129,7 +1143,7 @@ void Manager::fence(std::uint64_t foreign_epoch) {
                            << " supersedes " << epoch_ << "; ceasing service";
   ++stats_.fencings;
   serving_ = false;
-  *stop_ = true;
+  halt_tasks();
   // No clear_device_metadata: the successor already re-pointed the
   // registration (shutdown()'s ownership guard keeps us off it later too).
 }

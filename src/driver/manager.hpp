@@ -18,6 +18,7 @@
 #include "driver/mailbox.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
+#include "sim/poll_grid.hpp"
 #include "smartio/smartio.hpp"
 
 namespace nvmeshare::driver {
@@ -168,6 +169,8 @@ class Manager {
   sim::Task admin_task(nvme::SubmissionEntry entry,
                        sim::Promise<Result<nvme::CompletionEntry>> promise);
   sim::Task mailbox_server(std::shared_ptr<bool> stop);
+  /// Set the stop flag and wake a sleeping mailbox scanner so it exits.
+  void halt_tasks();
   sim::Future<bool> handle_slot_await(std::uint32_t slot_index, MboxSlot slot,
                                       std::shared_ptr<bool> stop);
   sim::Task handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
@@ -235,6 +238,8 @@ class Manager {
   sisci::Segment acq_seg_;
   sisci::Segment admin_data_seg_;
   sisci::Segment metadata_seg_;
+  /// The mailbox scanner's rounds; told about every write into the slots.
+  std::unique_ptr<sim::PollGrid> mbox_grid_;
   smartio::DmaWindow asq_win_;
   smartio::DmaWindow acq_win_;
   smartio::DmaWindow admin_data_win_;

@@ -43,6 +43,15 @@ Window Substrate::make_window(std::uint64_t token, std::uint64_t addr,
   return w;
 }
 
+void Substrate::watch(HostId space, std::uint64_t addr, std::uint64_t len,
+                      sim::PollGrid& grid) {
+  watches_[{space, addr}] = Watch{addr + len, &grid};
+}
+
+void Substrate::unwatch(const sim::PollGrid& grid) {
+  std::erase_if(watches_, [&](const auto& w) { return w.second.grid == &grid; });
+}
+
 Status Substrate::check_backdoor(HostId host, std::uint64_t addr, std::uint64_t len,
                                  const char* what) {
 #ifdef NDEBUG

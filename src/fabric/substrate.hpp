@@ -21,6 +21,9 @@
 //  * poll_read() is the sanctioned zero-cost CQ-polling access; it only
 //    works on memory for which cpu_pollable() holds (or through an
 //    established CPU window).
+//  * watch() registers a poller's memory: every posted or scatter write
+//    into the range is reported to its sim::PollGrid when issued (with the
+//    landing time) and when it lands, and every poke when applied.
 //  * peek()/poke() are zero-latency backdoors for bring-up and test
 //    assertions only. After seal_backdoors(), cross-host backdoor use is a
 //    contract violation: debug builds fail the access with
@@ -28,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -36,6 +41,7 @@
 #include "mem/phys_mem.hpp"
 #include "obs/metrics.hpp"
 #include "fabric/types.hpp"
+#include "sim/poll_grid.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::fabric {
@@ -185,6 +191,14 @@ class Substrate {
     return 0;
   }
 
+  // --- write watchers --------------------------------------------------------
+
+  /// Report writes into [addr, addr+len) of space `space` to `grid` (see the
+  /// file comment). Watched ranges must not overlap.
+  void watch(HostId space, std::uint64_t addr, std::uint64_t len, sim::PollGrid& grid);
+  /// Stop reporting to `grid`.
+  void unwatch(const sim::PollGrid& grid);
+
   // --- fault control ---------------------------------------------------------
 
   /// Administratively fail (or restore) `host`'s uplink into the shared
@@ -218,6 +232,19 @@ class Substrate {
   [[nodiscard]] Window make_window(std::uint64_t token, std::uint64_t addr,
                                    std::uint64_t size) noexcept;
 
+  /// Write-watcher hooks for the implementations: a write into
+  /// [addr, addr+len) of `space` was issued now and lands at `landing`, has
+  /// landed, or (poke) was applied now.
+  void note_issued(HostId space, std::uint64_t addr, std::uint64_t len, sim::Time landing) {
+    for_watchers(space, addr, len, [&](sim::PollGrid& g) { g.write_issued(landing); });
+  }
+  void note_landed(HostId space, std::uint64_t addr, std::uint64_t len) {
+    for_watchers(space, addr, len, [](sim::PollGrid& g) { g.write_landed(); });
+  }
+  void note_applied(HostId space, std::uint64_t addr, std::uint64_t len) {
+    for_watchers(space, addr, len, [](sim::PollGrid& g) { g.changed(); });
+  }
+
   /// Guard check shared by peek/poke; returns non-ok when the access must
   /// be rejected.
   Status check_backdoor(HostId host, std::uint64_t addr, std::uint64_t len,
@@ -229,6 +256,25 @@ class Substrate {
 
  private:
   friend class Window;
+
+  struct Watch {
+    std::uint64_t end = 0;
+    sim::PollGrid* grid = nullptr;
+  };
+  template <typename F>
+  void for_watchers(HostId space, std::uint64_t addr, std::uint64_t len, F&& f) {
+    if (watches_.empty()) return;
+    // Ranges are disjoint: walk back from the last one starting inside the
+    // write while they still reach into it.
+    auto it = watches_.upper_bound({space, addr + (len == 0 ? 0 : len - 1)});
+    while (it != watches_.begin()) {
+      --it;
+      if (it->first.first != space || it->second.end <= addr) break;
+      f(*it->second.grid);
+    }
+  }
+
+  std::map<std::pair<HostId, std::uint64_t>, Watch> watches_;  ///< by (space, start)
 };
 
 }  // namespace nvmeshare::fabric

@@ -66,8 +66,10 @@ QpMultiplexer::~QpMultiplexer() {
   // A parked scheduler (or an in-flight dispatch) wakes, observes the
   // cleared alive flag and exits without touching this object; staged work
   // it will never drain is resolved as aborted here so no submitter hangs.
+  // The parked scheduler exits at once, so its frame is freed even when the
+  // engine is torn down next.
   *alive_ = false;
-  kick_.set();
+  kick_.release_waiters();
   for (auto& [id, t] : tenants_) {
     for (auto& staged : t->ring) resolve_aborted(staged);
     t->ring.clear();

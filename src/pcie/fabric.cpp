@@ -420,8 +420,12 @@ Result<sim::Time> Fabric::post_write(const Initiator& who, std::uint64_t addr,
       NVS_LOG(warn, "pcie") << "posted write dropped at target: " << st.to_string();
       ++stats_.unsupported_requests;
     }
+    if (t.kind == Resolved::Kind::dram) note_landed(t.host, t.addr, d.size());
     recycle_payload(std::move(d));
   });
+  if (target->kind == Resolved::Kind::dram) {
+    note_issued(target->host, target->addr, data.size(), arrival);
+  }
   return arrival;
 }
 
@@ -496,6 +500,11 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
   }
   // A torn scatter write delivers only the leading `torn_bytes` of the DMA.
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (targets[i].kind == Resolved::Kind::dram) {
+      note_issued(targets[i].host, targets[i].addr, sg[i].len, arrival);
+    }
+  }
   engine_.at(arrival,
              [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() mutable {
                std::size_t off = 0;
@@ -505,6 +514,9 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
                      !st) {
                    NVS_LOG(warn, "pcie") << "scatter write chunk dropped: " << st.to_string();
                    ++stats_.unsupported_requests;
+                 }
+                 if (targets[i].kind == Resolved::Kind::dram) {
+                   note_landed(targets[i].host, targets[i].addr, chunk);
                  }
                  off += sg[i].len;
                }
@@ -641,7 +653,9 @@ sim::Future<Result<Bytes>> Fabric::read_sg(const Initiator& who,
 Status Fabric::do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) {
   auto target = resolve(host, addr, data.size());
   if (!target) return target.status();
-  return apply_write(*target, data);
+  Status st = apply_write(*target, data);
+  if (target->kind == Resolved::Kind::dram) note_applied(target->host, target->addr, data.size());
+  return st;
 }
 
 Status Fabric::poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) {

@@ -46,6 +46,8 @@ Engine::EvNode* Engine::make_node(Time t) {
   }
   node->t = t < now_ ? now_ : t;
   node->seq = seq_++;
+  node->born = now_;
+  node->sched_key = 2 * born_;
   node->next = nullptr;
   return node;
 }
@@ -70,20 +72,26 @@ void Engine::enqueue(EvNode* node) {
 void Engine::insert_bucket(std::uint64_t abs_slot, EvNode* node) {
   const std::uint64_t phys = abs_slot & kSlotMask;
   Bucket& b = buckets_[phys];
+  // Events run in (t, born, sched_key) order, FIFO among equals.
+  auto goes_after = [node](const EvNode* n) {
+    if (n->t != node->t) return n->t < node->t;
+    if (n->born != node->born) return n->born < node->born;
+    return n->sched_key <= node->sched_key;
+  };
   node->next = nullptr;
   if (b.head == nullptr) {
     b.head = b.tail = node;
     bitmap_[phys >> 6] |= 1ull << (phys & 63);
-  } else if (b.tail->t <= node->t) {
-    // Common case: appended events carry the latest (t, seq), so FIFO
-    // order among equal timestamps is the tail position.
+  } else if (b.tail->t < node->t || goes_after(b.tail)) {
+    // Common case: an at() event is scheduled after everything already
+    // queued, so FIFO order among equal timestamps is the tail position.
     b.tail->next = node;
     b.tail = node;
   } else {
     // Rare: an earlier timestamp landed behind a later one in the same
-    // 128 ns bucket — walk to the position after everything <= t.
+    // 128 ns bucket, or an at_born() event is involved — walk to its place.
     EvNode** link = &b.head;
-    while (*link != nullptr && (*link)->t <= node->t) link = &(*link)->next;
+    while (*link != nullptr && goes_after(*link)) link = &(*link)->next;
     node->next = *link;
     *link = node;
   }
@@ -122,11 +130,14 @@ void Engine::refill(Time min_t) {
     }
   }
   overflow_.resize(kept);
-  // Reinsert in (t, seq) order so every bucket append hits the O(1) tail
-  // path and FIFO among equal timestamps survives the detour.
+  // Reinsert in dispatch order so every bucket append hits the O(1) tail
+  // path and FIFO among equal timestamps survives the detour (at() events
+  // are scheduled in (t, born, sched_key) order, so seq only breaks ties).
   std::sort(refill_scratch_.begin(), refill_scratch_.end(),
             [](const EvNode* a, const EvNode* b) {
               if (a->t != b->t) return a->t < b->t;
+              if (a->born != b->born) return a->born < b->born;
+              if (a->sched_key != b->sched_key) return a->sched_key < b->sched_key;
               return a->seq < b->seq;
             });
   for (EvNode* node : refill_scratch_) insert_bucket(slot_of(node->t), node);
@@ -173,10 +184,13 @@ void Engine::run() {
     EvNode* node = pop_next(std::numeric_limits<Time>::max());
     if (node == nullptr) break;
     now_ = node->t;
+    born_ = node->born;
+    sched_key_ = node->sched_key;
     ++processed_;
-    node->run(node);
+    node->fire(node, true);
     recycle(node);
   }
+  leave_dispatch();
 }
 
 std::uint64_t Engine::run_until(Time t) {
@@ -186,23 +200,26 @@ std::uint64_t Engine::run_until(Time t) {
     EvNode* node = pop_next(t);
     if (node == nullptr) break;
     now_ = node->t;
+    born_ = node->born;
+    sched_key_ = node->sched_key;
     ++processed_;
     ++n;
-    node->run(node);
+    node->fire(node, true);
     recycle(node);
   }
   if (!stopped_ && now_ < t) now_ = t;
+  leave_dispatch();
   return n;
 }
 
 void Engine::drop_all() noexcept {
   for (std::size_t phys = 0; phys < kSlots; ++phys) {
     for (EvNode* node = buckets_[phys].head; node != nullptr; node = node->next) {
-      node->drop(node);
+      node->fire(node, false);
     }
     buckets_[phys].head = buckets_[phys].tail = nullptr;
   }
-  for (EvNode* node : overflow_) node->drop(node);
+  for (EvNode* node : overflow_) node->fire(node, false);
   overflow_.clear();
   wheel_count_ = 0;
   live_nodes_ = 0;

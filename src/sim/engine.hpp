@@ -25,7 +25,9 @@
 // events fire in ascending (timestamp, insertion-seq) order; per-bucket
 // lists are kept (t, seq)-sorted, and the overflow refill re-sorts by
 // (t, seq) before reinserting, so FIFO among equal timestamps holds
-// everywhere.
+// everywhere. Each event also records when it was scheduled and when the
+// event that scheduled it was; FIFO order agrees with that order, and
+// at_born() uses it to file an event as if scheduled at another time.
 #pragma once
 
 #include <cassert>
@@ -65,6 +67,29 @@ class Engine {
     at(now_ + d, std::forward<F>(fn));
   }
 
+  /// Schedule `fn` at `t` in the place an event would hold that was
+  /// scheduled at time `born` (past or future) by an event itself
+  /// scheduled at `sched_by`. Events at one instant run in (born,
+  /// sched_by) order — for at() that is FIFO — and this one goes after its
+  /// equals. Pollers that skip idle rounds use it to put a round where the
+  /// skipped chain of rounds (each scheduled one interval ahead by the one
+  /// before) would have put it. It keeps that place only within the wheel's
+  /// window (262 us), far beyond any poll interval.
+  template <typename F>
+  void at_born(Time t, Time born, Time sched_by, F&& fn) {
+    EvNode* node = make_node(t);
+    node->born = born;
+    node->sched_key = 2 * sched_by + 1;
+    bind_callable(node, std::forward<F>(fn));
+    enqueue(node);
+  }
+
+  /// When the running event was scheduled, and when the event that
+  /// scheduled it was (the at_born() values for such events); now() for
+  /// both outside run()/run_until().
+  [[nodiscard]] Time current_born() const noexcept { return born_; }
+  [[nodiscard]] Time current_sched_by() const noexcept { return sched_key_ >> 1; }
+
   /// Run until no events remain or stop() is called.
   void run();
 
@@ -101,9 +126,13 @@ class Engine {
   struct EvNode {
     Time t = 0;
     std::uint64_t seq = 0;  ///< FIFO among equal timestamps
+    Time born = 0;  ///< now() when scheduled
+    /// 2 x born of the event that scheduled this one, + 1 for at_born(), so
+    /// at_born() events order after at() events of equal (born, sched_by).
+    Time sched_key = 0;
     EvNode* next = nullptr;
-    void (*run)(EvNode*) = nullptr;   ///< invoke, then destroy the callable
-    void (*drop)(EvNode*) = nullptr;  ///< destroy without invoking (teardown)
+    /// Invoke the callable (unless tearing down), then destroy it.
+    void (*fire)(EvNode*, bool invoke) = nullptr;
     alignas(std::max_align_t) std::byte storage[kInlineBytes];
   };
   struct Bucket {
@@ -117,23 +146,17 @@ class Engine {
     static_assert(std::is_invocable_r_v<void, Fn&>, "event callable must be void()");
     if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(node->storage)) Fn(std::forward<F>(fn));
-      node->run = [](EvNode* n) {
+      node->fire = [](EvNode* n, bool invoke) {
         Fn* f = std::launder(reinterpret_cast<Fn*>(n->storage));
-        (*f)();
+        if (invoke) (*f)();
         f->~Fn();
-      };
-      node->drop = [](EvNode* n) {
-        std::launder(reinterpret_cast<Fn*>(n->storage))->~Fn();
       };
     } else {
       ::new (static_cast<void*>(node->storage)) Fn*(new Fn(std::forward<F>(fn)));
-      node->run = [](EvNode* n) {
+      node->fire = [](EvNode* n, bool invoke) {
         Fn* f = *std::launder(reinterpret_cast<Fn**>(n->storage));
-        (*f)();
+        if (invoke) (*f)();
         delete f;
-      };
-      node->drop = [](EvNode* n) {
-        delete *std::launder(reinterpret_cast<Fn**>(n->storage));
       };
     }
   }
@@ -145,6 +168,12 @@ class Engine {
   [[nodiscard]] EvNode* make_node(Time t);
   void enqueue(EvNode* node);
   void insert_bucket(std::uint64_t abs_slot, EvNode* node);
+  /// After run()/run_until(): code outside the engine schedules as an
+  /// event of now().
+  void leave_dispatch() noexcept {
+    born_ = now_;
+    sched_key_ = 2 * now_;
+  }
   /// Unlink and return the earliest event with t <= limit, or nullptr.
   [[nodiscard]] EvNode* pop_next(Time limit);
   /// Jump the window to the earliest overflow event and move everything
@@ -172,6 +201,8 @@ class Engine {
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
+  Time born_ = 0;       ///< born of the event being dispatched
+  Time sched_key_ = 0;  ///< and its sched_key
   bool stopped_ = false;
 };
 

@@ -160,6 +160,21 @@ class Event {
     for (auto& node : waiters) detail::resume_node(engine_, node, /*timed_out=*/false);
   }
 
+  /// set(), but resuming the waiters at once instead of through the
+  /// engine queue. Only for an owner being destroyed whose waiters merely
+  /// observe that and exit: a queued wake-up would be dropped with the
+  /// engine at teardown and leak their frames.
+  void release_waiters() {
+    set_ = true;
+    auto waiters = std::move(waiters_);
+    waiters_.clear();
+    for (auto& node : waiters) {
+      if (node->resumed) continue;
+      node->resumed = true;
+      node->h.resume();
+    }
+  }
+
   void reset() noexcept { set_ = false; }
   [[nodiscard]] bool is_set() const noexcept { return set_; }
 

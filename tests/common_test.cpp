@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -165,6 +166,33 @@ TEST(Bytes, PatternRoundTrip) {
   EXPECT_FALSE(check_pattern(buf, 0x1235));
   buf[100] ^= std::byte{1};
   EXPECT_FALSE(check_pattern(buf, 0x1234));
+}
+
+// The word-at-a-time kernel must produce the bytes of the original
+// per-byte definition: byte i is byte i % 8 of mix(seed, i / 8).
+TEST(Bytes, PatternMatchesPerByteReference) {
+  auto reference = [](std::uint64_t seed, std::size_t i) {
+    std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (i / 8 + 1));
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return std::byte{static_cast<std::uint8_t>(x >> ((i % 8) * 8))};
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {4095, 4096, 65536});
+  for (const std::uint64_t seed : {0ULL, 0x1234ULL, ~0ULL}) {
+    for (const std::size_t n : lengths) {
+      Bytes want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = reference(seed, i);
+      EXPECT_EQ(make_pattern(n, seed), want) << "seed " << seed << " length " << n;
+      EXPECT_TRUE(check_pattern(want, seed)) << "seed " << seed << " length " << n;
+      if (n > 0) {
+        want[n - 1] ^= std::byte{0x80};  // the last byte is checked too
+        EXPECT_FALSE(check_pattern(want, seed)) << "seed " << seed << " length " << n;
+      }
+    }
+  }
 }
 
 TEST(Bytes, PatternsDifferAcrossSeeds) {

@@ -12,7 +12,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <optional>
+#include <string>
 
+#include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -114,6 +119,238 @@ TEST(FabricPin, NtbPathMatchesPreRefactorSeed) {
   EXPECT_EQ(obs.write_ops, 64u);
   EXPECT_EQ(obs.read_elapsed, kReadElapsed);
   EXPECT_EQ(obs.write_elapsed, kWriteElapsed);
+}
+
+// --- equivalence pins for skipped poll rounds ---------------------------------
+//
+// The CQ poller and the mailbox scanner sleep through rounds that cannot see
+// anything (sim::PollGrid). Each scenario below drives one hazard of that
+// rule; its constants were captured from the spinning pollers (the commit
+// before PollGrid) with NVS_PIN_CAPTURE=1: final clock, job latency sums,
+// and an FNV-1a digest of the non-zero registry metrics, which covers
+// nvmeshare.client.poll_rounds.
+
+struct GridPin {
+  sim::Time end_time = 0;
+  sim::Duration latency_sum = 0;  ///< sum of every job's read and write samples
+  std::uint64_t ops = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t registry_digest = 0;
+};
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  return h;
+}
+
+TestbedConfig pin_testbed(fabric::SubstrateKind kind, std::uint32_t hosts = 2) {
+  TestbedConfig cfg = small_testbed(hosts);
+  cfg.substrate = kind;
+  return cfg;
+}
+
+driver::Client::Config recovering_client() {
+  driver::Client::Config cc;
+  cc.cmd_timeout_ns = 500'000;
+  cc.cmd_retry_limit = 3;
+  cc.retry_backoff_ns = 50'000;
+  return cc;
+}
+
+workload::JobSpec pin_job(workload::JobSpec::Pattern pattern, std::uint32_t qd,
+                          std::uint64_t ops) {
+  workload::JobSpec spec;
+  spec.pattern = pattern;
+  spec.block_bytes = 4096;
+  spec.queue_depth = qd;
+  spec.ops = ops;
+  spec.seed = 2024;
+  return spec;
+}
+
+void add_job(GridPin& pin, const Result<workload::JobResult>& r) {
+  EXPECT_TRUE(r.has_value()) << r.status().to_string();
+  if (!r) return;
+  pin.ops += r->ops_completed;
+  pin.errors += r->errors;
+  for (const LatencyRecorder* rec : {&r->read_latency, &r->write_latency}) {
+    for (const sim::Duration d : rec->samples()) pin.latency_sum += d;
+  }
+}
+
+void finish(GridPin& pin, Testbed& tb) {
+  pin.end_time = tb.engine().now();
+  pin.registry_digest = fnv1a(obs::Registry::global().to_table());
+}
+
+/// QD1 then QD32 random reads and writes, manager on host 0, client on 1.
+GridPin steady(fabric::SubstrateKind kind, std::uint32_t qd) {
+  GridPin pin;
+  Testbed tb(pin_testbed(kind));
+  auto stack = bring_up(tb, 0, 1);
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return pin;
+  for (const auto pattern : {workload::JobSpec::Pattern::randread,
+                             workload::JobSpec::Pattern::randwrite}) {
+    add_job(pin, workload::run_job_blocking(tb.cluster(), *stack->client, 1,
+                                            pin_job(pattern, qd, qd * 16)));
+  }
+  finish(pin, tb);
+  return pin;
+}
+
+/// The 5th CQE posted to the client is lost: the only command in flight
+/// times out, so the engine goes idle while the poller sleeps, and the
+/// retry's kick must restart the poll grid.
+GridPin dropped_cqe() {
+  GridPin pin;
+  auto plan = fault::parse_plan("seed=5;drop_posted_write:dst=1,class=dram,nth=5");
+  EXPECT_TRUE(plan.has_value());
+  fault::Injector::global().configure(std::move(*plan));
+  {
+    Testbed tb(pin_testbed(fabric::SubstrateKind::ntb));
+    auto stack = bring_up(tb, 0, 1, recovering_client());
+    EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+    if (stack) {
+      fault::Injector::global().arm(tb.engine(), {});
+      add_job(pin, workload::run_job_blocking(
+                       tb.cluster(), *stack->client, 1,
+                       pin_job(workload::JobSpec::Pattern::randwrite, 1, 32)));
+      finish(pin, tb);
+    }
+  }
+  fault::Injector::global().disarm();
+  return pin;
+}
+
+/// CXL: the client host's port is down for 20 us while its CQEs keep
+/// landing in the pool, then comes back up.
+GridPin cxl_port_flap() {
+  GridPin pin;
+  Testbed tb(pin_testbed(fabric::SubstrateKind::cxl));
+  auto stack = bring_up(tb, 0, 1, recovering_client());
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return pin;
+  fabric::Substrate* sub = &tb.substrate();
+  const sim::Time down = tb.engine().now() + 40'000;
+  tb.engine().at(down, [sub]() { (void)sub->set_host_link(1, false); });
+  tb.engine().at(down + 20'000, [sub]() { (void)sub->set_host_link(1, true); });
+  add_job(pin, workload::run_job_blocking(tb.cluster(), *stack->client, 1,
+                                          pin_job(workload::JobSpec::Pattern::randread, 8, 64)));
+  finish(pin, tb);
+  return pin;
+}
+
+/// The mailbox scanner idles for a while, then a client attaches and asks
+/// for two tenant shares, one long after the other.
+GridPin mailbox_while_asleep(fabric::SubstrateKind kind) {
+  GridPin pin;
+  Testbed tb(pin_testbed(kind, 3));
+  auto manager = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), {}));
+  EXPECT_TRUE(manager.has_value()) << manager.status().to_string();
+  if (!manager) return pin;
+  tb.engine().run_for(77'777);
+  auto client = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), {}));
+  EXPECT_TRUE(client.has_value()) << client.status().to_string();
+  if (!client) return pin;
+  tb.engine().run_for(123'457);
+  for (std::uint32_t tenant = 1; tenant <= 2; ++tenant) {
+    driver::Client::ShareRequest req;
+    req.tenant = tenant;
+    req.cid_count = 4;
+    auto grant = tb.wait((*client)->create_share(req));
+    EXPECT_TRUE(grant.has_value()) << grant.status().to_string();
+    tb.engine().run_for(31'001);
+  }
+  auto second = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), {}));
+  EXPECT_TRUE(second.has_value()) << second.status().to_string();
+  finish(pin, tb);
+  return pin;
+}
+
+/// QD1 reads in flight while the client crashes (or detaches) at an
+/// instant its poller sleeps through: at QD1 it sleeps through most of
+/// each command.
+GridPin stop_while_asleep(bool crash) {
+  GridPin pin;
+  Testbed tb(pin_testbed(fabric::SubstrateKind::ntb));
+  auto stack = bring_up(tb, 0, 1, recovering_client());
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return pin;
+  driver::Client* client = stack->client.get();
+  const sim::Time when = tb.engine().now() + 55'003;
+  std::optional<sim::Future<Status>> detached;
+  tb.engine().at(when, [&]() {
+    if (crash) {
+      client->crash();
+    } else {
+      detached = client->detach();
+    }
+  });
+  auto job = workload::run_job(tb.cluster(), *client, 1,
+                               pin_job(workload::JobSpec::Pattern::randread, 1, 64));
+  if (crash) {
+    add_job(pin, tb.wait(std::move(job)));
+  } else {
+    // The read in flight at the detach is never reaped: the job never ends.
+    tb.engine().run_until(when + 50'000);
+    const std::optional<Status> st = detached ? detached->try_take() : std::nullopt;
+    EXPECT_TRUE(st && st->is_ok()) << (st ? st->to_string() : "detach pending");
+  }
+  finish(pin, tb);
+  return pin;
+}
+
+struct GridScenario {
+  const char* name;
+  std::function<GridPin()> run;
+  GridPin want;
+};
+
+TEST(FabricPin, SkippedPollRoundsMatchSpinningPollers) {
+  using fabric::SubstrateKind;
+  // Captured from the spinning pollers (see the section comment).
+  const GridScenario scenarios[] = {
+      {"ntb-qd1", [] { return steady(SubstrateKind::ntb, 1); },
+       {22000000, 516907, 32, 0, 0xe84dd984db684b3fULL}},
+      {"ntb-qd32", [] { return steady(SubstrateKind::ntb, 32); },
+       {22000000, 38060927, 1024, 0, 0x66b97fb3ccd9b079ULL}},
+      {"cxl-qd1", [] { return steady(SubstrateKind::cxl, 1); },
+       {22000000, 507709, 32, 0, 0x92ee92a3cb3a3c8cULL}},
+      {"cxl-qd32", [] { return steady(SubstrateKind::cxl, 32); },
+       {22000000, 38033354, 1024, 0, 0x51018cd399e910c5ULL}},
+      {"dropped-cqe", dropped_cqe,
+       {12000000, 3025061, 32, 0, 0x11320d124e44765eULL}},
+      {"cxl-port-flap", cxl_port_flap,
+       {12000000, 1408223, 64, 0, 0xf40e2ca40e49530fULL}},
+      {"mailbox-ntb", [] { return mailbox_while_asleep(SubstrateKind::ntb); },
+       {5263236, 0, 0, 0, 0x0978b079bb940ecbULL}},
+      {"mailbox-cxl", [] { return mailbox_while_asleep(SubstrateKind::cxl); },
+       {5263236, 0, 0, 0, 0x1ef71665f1a29230ULL}},
+      {"client-crash", [] { return stop_while_asleep(true); },
+       {3000000, 46023, 64, 61, 0x83de76fea90fdb62ULL}},
+      {"client-detach", [] { return stop_while_asleep(false); },
+       {2105003, 0, 0, 0, 0x7b7191e8f6db5a31ULL}},
+  };
+  const bool capture = std::getenv("NVS_PIN_CAPTURE") != nullptr;
+  for (const GridScenario& sc : scenarios) {
+    obs::Registry::global().reset_values();
+    const GridPin got = sc.run();
+    if (capture) {
+      std::printf("      {\"%s\", ..., {%" PRId64 ", %" PRId64 ", %" PRIu64 ", %" PRIu64
+                  ", 0x%016" PRIx64 "ULL}},\n",
+                  sc.name, static_cast<std::int64_t>(got.end_time),
+                  static_cast<std::int64_t>(got.latency_sum), got.ops, got.errors,
+                  got.registry_digest);
+      continue;
+    }
+    EXPECT_EQ(got.end_time, sc.want.end_time) << sc.name;
+    EXPECT_EQ(got.latency_sum, sc.want.latency_sum) << sc.name;
+    EXPECT_EQ(got.ops, sc.want.ops) << sc.name;
+    EXPECT_EQ(got.errors, sc.want.errors) << sc.name;
+    EXPECT_EQ(got.registry_digest, sc.want.registry_digest) << sc.name;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/poll_grid.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::sim {
@@ -530,6 +531,180 @@ TEST(Engine, ScheduleAfterEarlyDrainAtBucketBoundaryKeepsOrder) {
   e.run();
   EXPECT_EQ(order, (std::vector<int>{3, 0, 1, 2, 99}));
   EXPECT_EQ(e.now(), 10'000);
+}
+
+// --- at_born / PollGrid --------------------------------------------------------
+
+TEST(Engine, AtBornFilesAmongEarlierScheduledEvents) {
+  Engine e;
+  std::vector<int> order;
+  // Three events at t=1000, scheduled at times 0, 100 and 200 by events
+  // scheduled at 0.
+  e.at(1000, [&] { order.push_back(0); });
+  e.at(100, [&] { e.at(1000, [&] { order.push_back(100); }); });
+  e.at(200, [&] { e.at(1000, [&] { order.push_back(200); }); });
+  e.at(300, [&] {
+    // Between the ones scheduled at 100 and 200; an equal key goes after.
+    e.at_born(1000, 150, 0, [&] { order.push_back(150); });
+    e.at_born(1000, 100, -1, [&] { order.push_back(-100); });
+    e.at_born(1000, 100, 0, [&] { order.push_back(101); });
+    e.at_born(1000, 100, 0, [&] { order.push_back(102); });
+    EXPECT_EQ(e.current_born(), 0);
+    EXPECT_EQ(e.current_sched_by(), 0);
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, -100, 100, 101, 102, 150, 200}));
+  EXPECT_EQ(e.current_born(), e.now()) << "outside dispatch";
+}
+
+// A poller that sleeps on a PollGrid must observe every change at the same
+// instant, and in the same order relative to the landing events, as a
+// poller that really polls every interval — and count the same rounds.
+// Both run on one engine over the same memory (a count of landed writes).
+// Writes land after random leads, on and off ticks, issued by events
+// scheduled at chosen times: long before, exactly one interval before the
+// issue tick, one nanosecond before, and at the issue instant.
+struct PollRecord {
+  std::vector<std::pair<Time, int>> seen;  ///< (round time, landed count) on change
+  std::uint64_t rounds = 0;
+};
+
+Task spinning_poller(Engine& e, const int& landed, const bool& stop, Duration interval,
+                     PollRecord& rec) {
+  int last = 0;
+  for (;;) {
+    if (stop) co_return;
+    if (landed != last) rec.seen.emplace_back(e.now(), last = landed);
+    ++rec.rounds;
+    co_await delay(e, interval);
+  }
+}
+
+Task sleeping_poller(Engine& e, const int& landed, const bool& stop, PollGrid& grid,
+                     PollRecord& rec) {
+  int last = 0;
+  for (;;) {
+    if (stop) co_return;
+    if (landed != last) rec.seen.emplace_back(e.now(), last = landed);
+    ++rec.rounds;
+    const std::uint64_t skipped = co_await grid.next(false);
+    if (stop) co_return;
+    rec.rounds += skipped;
+  }
+}
+
+void run_poll_grid_round(std::uint64_t seed, bool lead) {
+  constexpr Duration kInterval = 150;
+  constexpr Time kEnd = 400 * kInterval;
+  std::mt19937_64 rng(seed);
+  Engine e;
+  PollGrid grid(e, kInterval, lead);
+  int landed = 0;
+  bool stop = false;
+  PollRecord spin;
+  PollRecord sleep;
+
+  auto pick = [&](std::initializer_list<Duration> v) {
+    return *(v.begin() + static_cast<std::ptrdiff_t>(rng() % v.size()));
+  };
+  // One write issued at `t` by an event scheduled at `born`.
+  auto issue_at = [&](Time t, Time born) {
+    const Duration special = lead ? pick({kInterval + 1, 2 * kInterval, 3 * kInterval})
+                                  : pick({1, kInterval - 1, kInterval, 2 * kInterval});
+    const Duration lat = rng() % 2 ? special
+                                   : (lead ? kInterval + 1 : 1) +
+                                         static_cast<Duration>(rng() % (2 * kInterval));
+    const bool poke = !lead && rng() % 8 == 0;
+    auto issue = [&, t, lat, poke]() {
+      if (poke) {  // a backdoor write applies at once
+        ++landed;
+        grid.changed();
+        return;
+      }
+      e.at(t + lat, [&]() {
+        ++landed;
+        grid.write_landed();
+      });
+      grid.write_issued(t + lat);
+    };
+    e.at(born, [&e, t, issue]() { e.at(t, issue); });
+  };
+  for (int i = 0; i < 120; ++i) {
+    // From the fourth tick on: before that, writes would be scheduled by
+    // the test body at time 0, on a par with the pollers' first rounds.
+    Time t = 4 * kInterval + static_cast<Time>(rng() % (kEnd - 8 * kInterval));
+    if (rng() % 2) t -= t % kInterval;  // on a tick
+    switch (rng() % 4) {
+      case 0: issue_at(t, 0); break;
+      case 1: issue_at(t, std::max<Time>(0, t - kInterval)); break;
+      case 2: issue_at(t, std::max<Time>(0, t - 1)); break;
+      default: issue_at(t, t); break;
+    }
+  }
+  e.at(kEnd, [&]() {
+    stop = true;
+    sleep.rounds += grid.halt();
+  });
+  spinning_poller(e, landed, stop, kInterval, spin);
+  sleeping_poller(e, landed, stop, grid, sleep);
+  e.run();
+  std::size_t first_diff = 0;
+  while (first_diff < spin.seen.size() && first_diff < sleep.seen.size() &&
+         spin.seen[first_diff] == sleep.seen[first_diff]) {
+    ++first_diff;
+  }
+  ASSERT_EQ(first_diff, spin.seen.size())
+      << "seed " << seed << (lead ? " lead" : " no lead") << ": spinning poller saw "
+      << (first_diff < spin.seen.size() ? spin.seen[first_diff].second : -1) << " at "
+      << (first_diff < spin.seen.size() ? spin.seen[first_diff].first : -1) << ", sleeping "
+      << (first_diff < sleep.seen.size() ? sleep.seen[first_diff].second : -1) << " at "
+      << (first_diff < sleep.seen.size() ? sleep.seen[first_diff].first : -1);
+  ASSERT_EQ(spin.seen.size(), sleep.seen.size()) << "seed " << seed;
+  ASSERT_EQ(spin.rounds, sleep.rounds) << "seed " << seed << (lead ? " lead" : " no lead");
+}
+
+TEST(PollGridProperty, SleepingPollerMatchesSpinningPollerOver1000SeededRounds) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    run_poll_grid_round(seed, /*lead=*/true);
+    run_poll_grid_round(seed, /*lead=*/false);
+  }
+}
+
+// The mailbox case spelled out: a request issued exactly on a tick, one
+// interval before the tick it lands on. Issued by an event scheduled long
+// before, it lands before that tick's round and is seen there; issued by
+// an event scheduled after the round at the issue tick was, it is seen one
+// round later.
+TEST(PollGrid, LandingOnATickIssuedOneIntervalBefore) {
+  constexpr Duration kInterval = 2000;
+  for (const bool late_issuer : {false, true}) {
+    Engine e;
+    PollGrid grid(e, kInterval, /*landings_lead=*/false);
+    int landed = 0;
+    bool stop = false;
+    PollRecord rec;
+    const Time issue = 10 * kInterval;
+    const Time born = late_issuer ? issue - 1 : 0;
+    e.at(born, [&]() {
+      e.at(issue, [&]() {
+        e.at(issue + kInterval, [&]() {
+          ++landed;
+          grid.write_landed();
+        });
+        grid.write_issued(issue + kInterval);
+      });
+    });
+    e.at(20 * kInterval, [&]() {
+      stop = true;
+      rec.rounds += grid.halt();
+    });
+    sleeping_poller(e, landed, stop, grid, rec);
+    e.run();
+    const Time seen_at = late_issuer ? issue + 2 * kInterval : issue + kInterval;
+    EXPECT_EQ(rec.seen, (std::vector<std::pair<Time, int>>{{seen_at, 1}})) << late_issuer;
+    EXPECT_EQ(rec.rounds, 20u) << "rounds at ticks 0 .. 19 intervals";
+    EXPECT_LT(e.events_processed(), 12u) << "the idle rounds were not simulated";
+  }
 }
 
 }  // namespace

@@ -52,6 +52,33 @@ TEST_P(SubstrateTest, LocalClientMovesData) {
   EXPECT_EQ(tb.substrate().stats().backdoor_violations.value(), 0u);
 }
 
+// The CQ poller sleeps through idle rounds and resumes one round before a
+// CQE lands (sim::PollGrid). That needs every CQE issued more than one poll
+// interval before it lands, for local and remote clients at QD1 and QD32.
+TEST_P(SubstrateTest, CqEntriesLeadTheirLandingByMoreThanAPollInterval) {
+  Testbed tb(config(2));
+  auto mgr = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), {}));
+  ASSERT_TRUE(mgr.has_value()) << mgr.status().to_string();
+  for (const smartio::NodeId node : {0u, 1u}) {
+    auto client = tb.wait(driver::Client::attach(tb.service(), node, tb.device_id(), {}));
+    ASSERT_TRUE(client.has_value()) << client.status().to_string();
+    for (const std::uint32_t qd : {1u, 32u}) {
+      workload::JobSpec spec;
+      spec.pattern = workload::JobSpec::Pattern::randrw;
+      spec.block_bytes = 4096;
+      spec.queue_depth = qd;
+      spec.ops = 256;
+      auto job = workload::run_job_blocking(tb.cluster(), **client, node, spec);
+      ASSERT_TRUE(job.has_value()) << job.status().to_string();
+      EXPECT_EQ(job->errors, 0u);
+    }
+    const sim::PollGrid* grid = (*client)->cq_poll_grid();
+    ASSERT_NE(grid, nullptr);
+    EXPECT_GT(grid->min_lead(), grid->interval()) << "client on node " << node;
+    EXPECT_LT(grid->min_lead(), 10 * grid->interval()) << "CQEs were watched";
+  }
+}
+
 TEST_P(SubstrateTest, TwoClientsShareOneDevice) {
   Testbed tb(config(3));
   auto mgr = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), {}));
