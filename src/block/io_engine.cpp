@@ -139,7 +139,7 @@ sim::Task IoEngine::flush_task(std::uint32_t chan, std::shared_ptr<FlushBatch> b
   // Close the batch before ringing: commands issued from here on start a
   // fresh burst (they were not covered by this tail store).
   if (ch.open_batch == batch) ch.open_batch = nullptr;
-  batch->status = *stop_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan);
+  batch->status = *stop_ || !issuing_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan);
   ++ch.doorbell_writes;
   ch.coalesced_cmds += batch->staged;
   batch->done.set();
@@ -158,7 +158,7 @@ sim::Task IoEngine::flush_wait_task(std::uint32_t chan, sim::Promise<Status> pro
     co_await sim::delay(engine_, cfg_.doorbell_ns);
     ++ch.doorbell_writes;
     ++ch.coalesced_cmds;
-    promise.set(*stop_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan));
+    promise.set(*stop_ || !issuing_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan));
     co_return;
   }
   std::shared_ptr<FlushBatch> batch = ch.open_batch;
@@ -334,7 +334,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       // A channel rebuild is in flight; wait for the fresh rings.
       (void)co_await channels_[chan]->recovered.wait();
     }
-    if (*stop) {
+    if (*stop || !issuing_) {
       fail(CmdOutcome::Kind::aborted);
       co_return;
     }
@@ -494,7 +494,7 @@ bool IoEngine::complete(std::uint32_t chan, std::uint16_t token, std::uint16_t s
 
 void IoEngine::request_recovery(std::uint32_t chan) {
   Channel& ch = *channels_[chan];
-  if (ch.recovering || *stop_) return;
+  if (ch.recovering || *stop_ || !issuing_) return;
   ch.recovering = true;
   ch.recovered.reset();
   if (cfg_.counters.recoveries != nullptr) ++*cfg_.counters.recoveries;

@@ -223,6 +223,11 @@ class IoEngine {
   void fail_pending(std::uint32_t chan);
   /// fail_pending() across all channels (crash / stop paths).
   void fail_all_pending();
+  /// Keep every command off the transport from now on (detach): run()
+  /// resolves new and retrying commands as aborted, staged doorbells stay
+  /// unrung and no channel rebuild starts. Commands already rung can still
+  /// complete.
+  void stop_issuing() noexcept { issuing_ = false; }
   /// Transport recovery finished (success or not): wake waiting commands.
   void finish_recovery(std::uint32_t chan);
   [[nodiscard]] bool recovering(std::uint32_t chan) const {
@@ -371,6 +376,7 @@ class IoEngine {
   sim::Engine& engine_;
   IoTransport& transport_;
   std::shared_ptr<bool> stop_;
+  bool issuing_ = true;  // cleared by stop_issuing()
   Config cfg_;
 
   std::vector<std::unique_ptr<Channel>> channels_;

@@ -14,6 +14,9 @@ namespace nvmeshare::driver {
 using nvme::CompletionEntry;
 using nvme::SubmissionEntry;
 
+// Attach and detach name every channel's queue pair in one batch request.
+static_assert(block::kMaxEngineChannels <= kMaxBatchQps);
+
 Client::Stats::Stats()
     : reads("nvmeshare.client.reads"),
       writes("nvmeshare.client.writes"),
@@ -402,8 +405,8 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   c.bar_ = std::move(*bar);
 
   // 7. Ask the manager for the queue pairs over the shared-memory mailbox:
-  //    one create_qp for the single-channel layout, one batch grant
-  //    otherwise (all-or-nothing, so a half-granted client never exists).
+  //    one batch grant for every channel (all-or-nothing, so a half-granted
+  //    client never exists).
   c.mailbox_lock_ = std::make_unique<sim::Semaphore>(engine, 1);
   MboxSlot req;
   req.client_node = c.node_;
@@ -414,29 +417,21 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   req.qos_class = static_cast<std::uint8_t>(c.cfg_.qos_class);
   req.qos_iops = c.cfg_.qos_iops;
   req.qos_bytes_per_s = c.cfg_.qos_bytes_per_s;
-  if (c.cfg_.channels == 1) {
-    req.op = static_cast<std::uint32_t>(MboxOp::create_qp);
-  } else {
-    req.op = static_cast<std::uint32_t>(MboxOp::create_qp_batch);
-    req.qp_count = static_cast<std::uint16_t>(c.cfg_.channels);
-    req.sq_stride = static_cast<std::uint32_t>(sq_ring_bytes);
-    req.cq_stride = static_cast<std::uint32_t>(cq_ring_bytes);
-  }
+  req.op = static_cast<std::uint32_t>(MboxOp::create_qp_batch);
+  req.qp_count = static_cast<std::uint16_t>(c.cfg_.channels);
+  req.sq_stride = static_cast<std::uint32_t>(sq_ring_bytes);
+  req.cq_stride = static_cast<std::uint32_t>(cq_ring_bytes);
   auto resp = co_await c.mailbox_call(req);
   if (!resp) {
     promise.set(resp.status());
     co_return;
   }
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
-    promise.set(Status(static_cast<Errc>(resp->status), "manager rejected create_qp"));
+    promise.set(
+        Status(static_cast<Errc>(resp->status), "manager rejected the queue-pair grant"));
     co_return;
   }
-  c.qids_.resize(c.cfg_.channels);
-  if (c.cfg_.channels == 1) {
-    c.qids_[0] = resp->qid_out;
-  } else {
-    for (std::uint32_t ch = 0; ch < c.cfg_.channels; ++ch) c.qids_[ch] = resp->qids[ch];
-  }
+  c.qids_.assign(resp->qids, resp->qids + c.cfg_.channels);
   // The granted budgets (possibly clamped below what we asked) arm the
   // engine's token-bucket pacer; an uncapped grant leaves both rates zero
   // and the pacer disarmed, preserving the seed instruction stream.
@@ -1105,7 +1100,10 @@ sim::Task Client::poller(std::shared_ptr<bool> stop) {
         if (n > 0) delivered = true;
         if (n < cqes.size()) break;
       }
-      if (delivered) (void)qps_[chan]->ring_cq_doorbell();
+      // Once a detach has begun the manager may already have deleted the
+      // CQ, and a head doorbell on a deleted queue is a fatal controller
+      // error. The in-flight commands are too few to fill the ring.
+      if (delivered && attached_) (void)qps_[chan]->ring_cq_doorbell();
     }
     ++stats_.poll_rounds;
     // Rounds that cannot see a new CQE are counted, not run (sim::PollGrid).
@@ -1151,8 +1149,9 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   engine_io_->fail_pending(chan);
 
   MboxSlot del;
-  del.op = static_cast<std::uint32_t>(MboxOp::delete_qp);
-  del.qid_in = old_qid;
+  del.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
+  del.qp_count = 1;
+  del.qids[0] = old_qid;
   (void)co_await mailbox_call(del);
   if (*stop || crashed_) {
     engine_io_->finish_recovery(chan);
@@ -1172,7 +1171,8 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   // Same segments, same DMA windows, fresh queue id. Retry with backoff:
   // right after a controller reset the manager may still be re-enabling.
   MboxSlot req;
-  req.op = static_cast<std::uint32_t>(MboxOp::create_qp);
+  req.op = static_cast<std::uint32_t>(MboxOp::create_qp_batch);
+  req.qp_count = 1;
   req.client_node = node_;
   req.sq_device_addr = sq_win_.device_addr() + chan * sq_ring_bytes;
   req.cq_device_addr = cq_win_.device_addr() + chan * cq_ring_bytes;
@@ -1188,7 +1188,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
     auto resp = co_await mailbox_call(req);
     if (*stop || crashed_) break;
     if (resp && resp->status == static_cast<std::uint32_t>(Errc::ok)) {
-      qids_[chan] = resp->qid_out;
+      qids_[chan] = resp->qids[0];
       created = true;
       break;
     }
@@ -1261,24 +1261,27 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
     co_return;
   }
   attached_ = false;
+  // The manager is about to delete the queue pairs: a doorbell rung after
+  // that would make the shared controller fatal for every host. Commands
+  // already rung may still complete while the RPC runs.
+  engine_io_->stop_issuing();
   MboxSlot req;
-  if (cfg_.channels == 1) {
-    req.op = static_cast<std::uint32_t>(MboxOp::delete_qp);
-    req.qid_in = qids_[0];
-  } else {
-    req.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
-    req.qp_count = static_cast<std::uint16_t>(cfg_.channels);
-    for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) req.qids[ch] = qids_[ch];
-  }
+  req.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
+  req.qp_count = static_cast<std::uint16_t>(cfg_.channels);
+  std::copy(qids_.begin(), qids_.end(), req.qids);
   auto resp = co_await mailbox_call(req);
   halt_poller();  // after the RPC (it uses the fabric, not the QP)
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
+  // Commands still in flight lost their queue pair: resolve them as
+  // aborted (as crash() does) so their callers see the detach.
+  if (engine_io_) engine_io_->fail_all_pending();
   if (!resp) {
     promise.set(resp.status());
     co_return;
   }
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
-    promise.set(Status(static_cast<Errc>(resp->status), "manager rejected delete_qp"));
+    promise.set(
+        Status(static_cast<Errc>(resp->status), "manager rejected the queue-pair release"));
     co_return;
   }
   // The queue pair is gone; release DMA windows (device-side NTB entries)

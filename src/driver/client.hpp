@@ -147,8 +147,11 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   [[nodiscard]] std::uint64_t max_transfer_bytes() const override { return max_transfer_; }
   sim::Future<block::Completion> submit(const block::Request& request) override;
 
-  /// Release the queue pair via the manager and stop the poller. The
-  /// future resolves when the manager confirmed deletion.
+  /// Release the queue pair via the manager and stop the poller. From the
+  /// call on no command or doorbell reaches the queue pair: new requests
+  /// fail with `aborted`, and so do requests still in flight once the
+  /// manager answered. The future resolves when the manager confirmed
+  /// deletion.
   sim::Future<Status> detach();
 
   /// Power off this instance instantly (fault injection): every task stops,

@@ -68,13 +68,18 @@ enum class MboxState : std::uint32_t {
 
 enum class MboxOp : std::uint32_t {
   none = 0,
+  /// Grant one queue pair (the v1 wire form). The manager serves it as a
+  /// create_qp_batch of one and answers the granted qid in qid_out; clients
+  /// send only the batch forms.
   create_qp = 1,
+  /// Revoke queue pair qid_in, served as a delete_qp_batch of one.
   delete_qp = 2,
   ping = 3,
   /// Grant qp_count queue pairs in one request: channel c's SQ lives at
   /// sq_device_addr + c * sq_stride (CQ likewise); the granted ids come
   /// back in qids[] (not necessarily contiguous — other clients' grants
-  /// interleave). All-or-nothing: a mid-batch failure rolls back.
+  /// interleave); qid_out repeats qids[0]. All-or-nothing: a mid-batch
+  /// failure rolls back.
   create_qp_batch = 4,
   /// Revoke the qp_count queue pairs listed in qids[] (best effort: every
   /// owned qid is attempted, the first failure is reported).

@@ -70,7 +70,8 @@ sim::Engine& Manager::engine() { return service_.cluster().engine(); }
 fabric::Substrate& Manager::fabric() { return service_.cluster().fabric(); }
 
 std::uint16_t Manager::active_queue_pairs() const {
-  return static_cast<std::uint16_t>(std::count(qid_used_.begin(), qid_used_.end(), true));
+  return static_cast<std::uint16_t>(
+      std::count_if(grants_.begin(), grants_.end(), [](const QpGrant& g) { return g.used; }));
 }
 
 void Manager::shutdown() {
@@ -330,13 +331,8 @@ sim::Task Manager::init_task(std::unique_ptr<Manager> self,
   // request will be judged against.
   (void)m.metadata_seg_.write(kQosPolicyOffset, as_bytes_of(m.cfg_.qos_policy));
 
-  m.qid_used_.assign(granted + 1u, false);
-  m.qid_used_[0] = true;  // admin
-  m.qid_owner_.assign(granted + 1u, 0);
-  m.qid_created_at_.assign(granted + 1u, 0);
-  m.qid_sq_addr_.assign(granted + 1u, 0);
-  m.qid_shares_.assign(granted + 1u, {});
-  m.qid_sq_size_.assign(granted + 1u, 0);
+  m.grants_.assign(granted + 1u, QpGrant{});
+  m.grants_[0].used = true;  // admin
 
   // v5: persist where the admin rings live and their cursors so a standby
   // can continue them without a controller reset (AQA/ASQ/ACQ are latched
@@ -481,115 +477,26 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
     if (errc != Errc::ok) ++stats_.request_errors;
   };
 
-  switch (static_cast<MboxOp>(slot.op)) {
+  // The single-pair ops are served as a batch of one; a create still
+  // answers qid_out with the granted qid.
+  auto op = static_cast<MboxOp>(slot.op);
+  if (op == MboxOp::create_qp) {
+    op = MboxOp::create_qp_batch;
+    slot.qp_count = 1;
+  } else if (op == MboxOp::delete_qp) {
+    op = MboxOp::delete_qp_batch;
+    slot.qp_count = 1;
+    slot.qids[0] = slot.qid_in;
+  }
+
+  switch (op) {
     case MboxOp::ping:
       respond(Errc::ok, 0, 0);
       break;
-    case MboxOp::create_qp: {
-      if (slot.sq_size < 2 || slot.cq_size < 2 || slot.sq_device_addr == 0 ||
-          slot.cq_device_addr == 0) {
-        respond(Errc::invalid_argument, 0, 0);
-        break;
-      }
-      if (!grant_qos(slot)) {
-        respond(Errc::permission_denied, 0, 0);
-        break;
-      }
-      // Idempotent re-serve: a previous manager may have created this
-      // client's queues and died before responding; the retry arrives with
-      // the same (deterministic) queue addresses, so reclaim the overlap
-      // before granting afresh.
-      if (has_stale_overlap(slot.client_node, slot.sq_device_addr, slot.sq_device_addr + 1)) {
-        co_await reclaim_stale_await(slot.client_node, slot.sq_device_addr,
-                                     slot.sq_device_addr + 1);
-        if (*stop) {
-          done.set(false);
-          co_return;
-        }
-      }
-      // Pick a free queue id.
-      std::uint16_t qid = 0;
-      for (std::uint16_t q = 1; q < qid_used_.size(); ++q) {
-        if (!qid_used_[q]) {
-          qid = q;
-          break;
-        }
-      }
-      if (qid == 0) {
-        respond(Errc::resource_exhausted, 0, 0);
-        break;
-      }
-      // Write-ahead intent (v5): if we die between here and the active
-      // flip, a takeover rolls the half-made grant back.
-      write_owner_entry(qid, make_owner_entry(slot, slot.sq_device_addr, slot.cq_device_addr,
-                                              QpOwnerState::pending, engine().now()));
-      auto cq = co_await submit_admin(
-          nvme::make_create_io_cq(0, qid, slot.cq_size, slot.cq_device_addr,
-                                  /*irq_enable=*/false, 0));
-      if (*stop) {
-        done.set(false);
-        co_return;
-      }
-      if (!cq || !cq->ok()) {
-        clear_owner_entry(qid);
-        respond(cq ? Errc::io_error : cq.status().code(), 0, cq ? cq->status() : 0);
-        break;
-      }
-      auto sq = co_await submit_admin(nvme::make_create_io_sq(
-          0, qid, slot.sq_size, slot.sq_device_addr, qid, sq_priority(slot)));
-      if (*stop) {
-        done.set(false);
-        co_return;
-      }
-      if (!sq || !sq->ok()) {
-        (void)co_await submit_admin(nvme::make_delete_io_cq(0, qid));
-        clear_owner_entry(qid);
-        respond(sq ? Errc::io_error : sq.status().code(), 0, sq ? sq->status() : 0);
-        break;
-      }
-      qid_used_[qid] = true;
-      qid_owner_[qid] = slot.client_node;
-      qid_created_at_[qid] = engine().now();
-      qid_sq_addr_[qid] = slot.sq_device_addr;
-      qid_sq_size_[qid] = slot.sq_size;
-      write_owner_entry(qid, make_owner_entry(slot, slot.sq_device_addr, slot.cq_device_addr,
-                                              QpOwnerState::active, qid_created_at_[qid]));
-      ++stats_.qps_created;
-      NVS_LOG(info, "manager") << "created QP " << qid << " for node " << slot.client_node;
-      respond(Errc::ok, qid, 0);
-      break;
-    }
-    case MboxOp::delete_qp: {
-      const std::uint16_t qid = slot.qid_in;
-      if (qid == 0 || qid >= qid_used_.size() || !qid_used_[qid] ||
-          qid_owner_[qid] != slot.client_node) {
-        respond(Errc::permission_denied, 0, 0);
-        break;
-      }
-      auto sq = co_await submit_admin(nvme::make_delete_io_sq(0, qid));
-      auto cq = co_await submit_admin(nvme::make_delete_io_cq(0, qid));
-      if (*stop) {
-        done.set(false);
-        co_return;
-      }
-      if (!sq || !sq->ok() || !cq || !cq->ok()) {
-        respond(Errc::io_error, 0, 0);
-        break;
-      }
-      qid_used_[qid] = false;
-      qid_owner_[qid] = 0;
-      qid_created_at_[qid] = 0;
-      qid_sq_addr_[qid] = 0;
-      release_shares(qid);
-      clear_owner_entry(qid);
-      ++stats_.qps_deleted;
-      respond(Errc::ok, qid, 0);
-      break;
-    }
     case MboxOp::create_qp_batch: {
-      // Multi-channel grant: one pair per channel, SQ/CQ bases advancing by
-      // the client's strides. All-or-nothing — a mid-batch failure deletes
-      // what this batch already created before responding.
+      // Grant qp_count pairs, one per client channel, SQ/CQ bases advancing
+      // by the client's strides. All-or-nothing — a mid-batch failure
+      // deletes what this batch already created before responding.
       const std::uint16_t count = slot.qp_count;
       if (count == 0 || count > kMaxBatchQps || slot.sq_size < 2 || slot.cq_size < 2 ||
           slot.sq_device_addr == 0 || slot.cq_device_addr == 0 ||
@@ -617,13 +524,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
       Errc errc = Errc::ok;
       std::uint16_t bad_status = 0;
       while (created < count) {
-        std::uint16_t qid = 0;
-        for (std::uint16_t q = 1; q < qid_used_.size(); ++q) {
-          if (!qid_used_[q]) {
-            qid = q;
-            break;
-          }
-        }
+        const std::uint16_t qid = pick_free_qid();
         if (qid == 0) {
           errc = Errc::resource_exhausted;
           break;
@@ -659,13 +560,9 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
           bad_status = sq ? sq->status() : 0;
           break;
         }
-        qid_used_[qid] = true;
-        qid_owner_[qid] = slot.client_node;
-        qid_created_at_[qid] = engine().now();
-        qid_sq_addr_[qid] = sq_base;
-        qid_sq_size_[qid] = slot.sq_size;
+        record_grant(qid, slot.client_node, sq_base, slot.sq_size, engine().now());
         write_owner_entry(qid, make_owner_entry(slot, sq_base, cq_base, QpOwnerState::active,
-                                                qid_created_at_[qid]));
+                                                engine().now()));
         ++stats_.qps_created;
         slot.qids[created] = qid;
         ++created;
@@ -675,12 +572,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
           const std::uint16_t qid = slot.qids[c];
           (void)co_await submit_admin(nvme::make_delete_io_sq(0, qid));
           (void)co_await submit_admin(nvme::make_delete_io_cq(0, qid));
-          qid_used_[qid] = false;
-          qid_owner_[qid] = 0;
-          qid_created_at_[qid] = 0;
-          qid_sq_addr_[qid] = 0;
-          release_shares(qid);
-          clear_owner_entry(qid);
+          forget_grant(qid);
           ++stats_.qps_deleted;
           slot.qids[c] = 0;
         }
@@ -707,8 +599,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
       Errc errc = Errc::ok;
       for (std::uint16_t c = 0; c < count; ++c) {
         const std::uint16_t qid = slot.qids[c];
-        if (qid == 0 || qid >= qid_used_.size() || !qid_used_[qid] ||
-            qid_owner_[qid] != slot.client_node) {
+        if (!owns(slot.client_node, qid)) {
           if (errc == Errc::ok) errc = Errc::permission_denied;
           continue;
         }
@@ -722,12 +613,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
           if (errc == Errc::ok) errc = Errc::io_error;
           continue;
         }
-        qid_used_[qid] = false;
-        qid_owner_[qid] = 0;
-        qid_created_at_[qid] = 0;
-        qid_sq_addr_[qid] = 0;
-        release_shares(qid);
-        clear_owner_entry(qid);
+        forget_grant(qid);
         ++stats_.qps_deleted;
       }
       respond(errc, 0, 0);
@@ -738,12 +624,11 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
       // command is involved — the controller never sees shares; they are
       // pure manager bookkeeping the owning client enforces at push time.
       const std::uint16_t qid = slot.qid_in;
-      if (qid == 0 || qid >= qid_used_.size() || !qid_used_[qid] ||
-          qid_owner_[qid] != slot.client_node) {
+      if (!owns(slot.client_node, qid)) {
         respond(Errc::permission_denied, 0, 0);
         break;
       }
-      const std::uint16_t sq_size = qid_sq_size_[qid];
+      const std::uint16_t sq_size = grants_[qid].sq_size;
       if (slot.share_cid_count == 0 || slot.share_cid_floor >= sq_size) {
         respond(Errc::invalid_argument, 0, 0);
         break;
@@ -753,7 +638,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
         respond(Errc::permission_denied, 0, 0);
         break;
       }
-      auto& shares = qid_shares_[qid];
+      auto& shares = grants_[qid].shares;
       // Idempotent per tenant: a re-request (say, after the client lost a
       // response) releases the tenant's old range before placing afresh.
       for (auto it = shares.begin(); it != shares.end(); ++it) {
@@ -798,12 +683,11 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
     }
     case MboxOp::delete_share: {
       const std::uint16_t qid = slot.qid_in;
-      if (qid == 0 || qid >= qid_used_.size() || !qid_used_[qid] ||
-          qid_owner_[qid] != slot.client_node) {
+      if (!owns(slot.client_node, qid)) {
         respond(Errc::permission_denied, 0, 0);
         break;
       }
-      auto& shares = qid_shares_[qid];
+      auto& shares = grants_[qid].shares;
       bool found = false;
       for (auto it = shares.begin(); it != shares.end(); ++it) {
         if (it->tenant == slot.share_tenant) {
@@ -850,17 +734,33 @@ bool Manager::grant_qos(MboxSlot& slot) const {
   return true;
 }
 
-void Manager::release_shares(std::uint16_t qid) {
-  if (qid >= qid_shares_.size()) return;
-  stats_.shares_released += qid_shares_[qid].size();
-  qid_shares_[qid].clear();
-  qid_sq_size_[qid] = 0;
+std::uint16_t Manager::pick_free_qid() const {
+  for (std::uint16_t q = 1; q < grants_.size(); ++q) {
+    if (!grants_[q].used) return q;
+  }
+  return 0;
+}
+
+void Manager::record_grant(std::uint16_t qid, std::uint32_t owner, std::uint64_t sq_addr,
+                           std::uint16_t sq_size, sim::Time created_at) {
+  QpGrant& g = grants_[qid];
+  g.used = true;
+  g.owner = owner;
+  g.created_at = created_at;
+  g.sq_addr = sq_addr;
+  g.sq_size = sq_size;
+}
+
+void Manager::forget_grant(std::uint16_t qid) {
+  stats_.shares_released += grants_[qid].shares.size();
+  grants_[qid] = QpGrant{};
+  clear_owner_entry(qid);
 }
 
 // --- fault recovery -------------------------------------------------------------------
 
 // Orphaned-queue-pair reaper (docs/faults.md): a crashed client leaves its
-// queue pair allocated forever — it never sends delete_qp. Clients post a
+// queue pair allocated forever — it never sends its delete. Clients post a
 // liveness heartbeat into their mailbox slot; when a pair's owner has been
 // silent longer than the timeout (measured from its last beat, or from the
 // pair's creation as a grace period before the first beat), the manager
@@ -873,16 +773,16 @@ sim::Task Manager::reaper_task(std::shared_ptr<bool> stop) {
     // Post-takeover grace: survivors are still re-resolving the new mailbox
     // location; judging their silence now would mis-reap live clients.
     if (takeover_time_ != 0 && eng.now() < takeover_time_ + cfg_.takeover_grace_ns) continue;
-    for (std::uint16_t qid = 1; qid < qid_used_.size(); ++qid) {
-      if (!qid_used_[qid]) continue;
-      const std::uint32_t owner = qid_owner_[qid];
+    for (std::uint16_t qid = 1; qid < grants_.size(); ++qid) {
+      if (!grants_[qid].used) continue;
+      const std::uint32_t owner = grants_[qid].owner;
       MboxSlot slot;
       if (owner >= header_.mailbox_slots ||
           !metadata_seg_.read(mbox_slot_offset(header_, owner), as_writable_bytes_of(slot))) {
         continue;
       }
       const sim::Time last =
-          std::max(static_cast<sim::Time>(slot.heartbeat_ns), qid_created_at_[qid]);
+          std::max(static_cast<sim::Time>(slot.heartbeat_ns), grants_[qid].created_at);
       if (eng.now() - last <= cfg_.client_heartbeat_timeout_ns) continue;
       NVS_LOG(warn, "manager") << "reaping orphaned QP " << qid << ": node " << owner
                                << " silent for " << (eng.now() - last) << " ns";
@@ -890,12 +790,7 @@ sim::Task Manager::reaper_task(std::shared_ptr<bool> stop) {
       auto cq = co_await submit_admin(nvme::make_delete_io_cq(0, qid));
       if (*stop) co_return;
       if ((sq && sq->ok()) || (cq && cq->ok())) {
-        qid_used_[qid] = false;
-        qid_owner_[qid] = 0;
-        qid_created_at_[qid] = 0;
-        qid_sq_addr_[qid] = 0;
-        release_shares(qid);
-        clear_owner_entry(qid);
+        forget_grant(qid);
         ++stats_.qps_reaped;
       }
     }
@@ -1028,16 +923,9 @@ sim::Task Manager::watchdog_task(std::shared_ptr<bool> stop) {
     }
 
     // Every I/O queue died with the reset: forget them so clients can
-    // re-create their pairs (their delete_qp for a stale qid is refused,
+    // re-create their pairs (their delete for a stale qid is refused,
     // which they ignore).
-    for (std::uint16_t q = 1; q < qid_used_.size(); ++q) {
-      qid_used_[q] = false;
-      qid_owner_[q] = 0;
-      qid_created_at_[q] = 0;
-      qid_sq_addr_[q] = 0;
-      release_shares(q);
-      clear_owner_entry(q);
-    }
+    for (std::uint16_t q = 1; q < grants_.size(); ++q) forget_grant(q);
     // Re-negotiate the I/O queue count (required before queue creation).
     auto feat = co_await submit_admin(nvme::make_set_num_queues(
         0, cfg_.requested_io_queues, cfg_.requested_io_queues));
@@ -1165,11 +1053,9 @@ void Manager::write_owner_entry(std::uint16_t qid, const QpOwnerEntry& e) {
 
 bool Manager::has_stale_overlap(std::uint32_t client_node, std::uint64_t lo,
                                 std::uint64_t hi) const {
-  for (std::uint16_t q = 1; q < qid_used_.size(); ++q) {
-    if (qid_used_[q] && qid_owner_[q] == client_node && qid_sq_addr_[q] >= lo &&
-        qid_sq_addr_[q] < hi) {
-      return true;
-    }
+  for (std::uint16_t q = 1; q < grants_.size(); ++q) {
+    const QpGrant& g = grants_[q];
+    if (g.used && g.owner == client_node && g.sq_addr >= lo && g.sq_addr < hi) return true;
   }
   return false;
 }
@@ -1183,19 +1069,14 @@ sim::Future<bool> Manager::reclaim_stale_await(std::uint32_t client_node, std::u
 
 sim::Task Manager::reclaim_stale_task(std::uint32_t client_node, std::uint64_t lo,
                                       std::uint64_t hi, sim::Promise<bool> done) {
-  for (std::uint16_t q = 1; q < qid_used_.size(); ++q) {
-    if (!qid_used_[q] || qid_owner_[q] != client_node) continue;
-    if (qid_sq_addr_[q] < lo || qid_sq_addr_[q] >= hi) continue;
+  for (std::uint16_t q = 1; q < grants_.size(); ++q) {
+    const QpGrant& g = grants_[q];
+    if (!g.used || g.owner != client_node || g.sq_addr < lo || g.sq_addr >= hi) continue;
     NVS_LOG(warn, "manager") << "reclaiming stale QP " << q << " of node " << client_node
                              << " (overlaps a re-served grant request)";
     (void)co_await submit_admin(nvme::make_delete_io_sq(0, q));
     (void)co_await submit_admin(nvme::make_delete_io_cq(0, q));
-    qid_used_[q] = false;
-    qid_owner_[q] = 0;
-    qid_created_at_[q] = 0;
-    qid_sq_addr_[q] = 0;
-    release_shares(q);
-    clear_owner_entry(q);
+    forget_grant(q);
     ++stats_.qps_deleted;
   }
   done.set(true);
@@ -1510,15 +1391,10 @@ sim::Task Manager::takeover_task(ManagerLease claim, sim::Promise<Status> done) 
   // manager died inside (their queues may or may not exist — delete both
   // and ignore refusals).
   const std::uint16_t granted = header_.granted_io_queues;
-  qid_used_.assign(granted + 1u, false);
-  qid_used_[0] = true;
-  qid_owner_.assign(granted + 1u, 0);
-  qid_created_at_.assign(granted + 1u, 0);
-  qid_sq_addr_.assign(granted + 1u, 0);
   // Tenant shares are manager-local and do not survive the takeover;
   // clients re-request them (like they re-heartbeat) — MODEL.md §12.
-  qid_shares_.assign(granted + 1u, {});
-  qid_sq_size_.assign(granted + 1u, 0);
+  grants_.assign(granted + 1u, QpGrant{});
+  grants_[0].used = true;
   for (std::uint16_t q = 1; q <= granted && q < kOwnerTableEntries; ++q) {
     const QpOwnerEntry& e = owners[q];
     if (e.state == static_cast<std::uint32_t>(QpOwnerState::pending)) {
@@ -1529,11 +1405,8 @@ sim::Task Manager::takeover_task(ManagerLease claim, sim::Promise<Status> done) 
       NVS_LOG(warn, "manager") << "rolled back half-created QP " << q << " of node "
                                << e.owner_node;
     } else if (e.state == static_cast<std::uint32_t>(QpOwnerState::active)) {
-      qid_used_[q] = true;
-      qid_owner_[q] = e.owner_node;
-      qid_created_at_[q] = eng.now();  // reaper grace anchor: takeover time
-      qid_sq_addr_[q] = e.sq_device_addr;
-      qid_sq_size_[q] = e.sq_size;
+      // Reaper grace anchor: takeover time.
+      record_grant(q, e.owner_node, e.sq_device_addr, e.sq_size, eng.now());
       ++stats_.qps_adopted;
     }
   }

@@ -83,7 +83,7 @@ class Manager {
     std::uint8_t wrr_medium_weight = 1;  ///< MPW
     std::uint8_t wrr_high_weight = 3;    ///< HPW
     /// Cluster-wide per-class grant policy, published in the metadata
-    /// segment (kQosPolicyOffset) and enforced on create_qp[_batch]: a
+    /// segment (kQosPolicyOffset) and enforced on every grant: a
     /// disallowed class demotes the request downward, budgets clamp to the
     /// class caps. The default allows every class, uncapped.
     QosPolicyTable qos_policy;
@@ -200,9 +200,21 @@ class Manager {
   void journal_admin_ring();
   void write_owner_entry(std::uint16_t qid, const QpOwnerEntry& e);
   void clear_owner_entry(std::uint16_t qid) { write_owner_entry(qid, QpOwnerEntry{}); }
-  /// Drop every tenant share of `qid` (the pair is going away), counting
-  /// each as released.
-  void release_shares(std::uint16_t qid);
+  /// Does `client_node` hold I/O queue `qid`?
+  [[nodiscard]] bool owns(std::uint32_t client_node, std::uint16_t qid) const noexcept {
+    return qid != 0 && qid < grants_.size() && grants_[qid].used &&
+           grants_[qid].owner == client_node;
+  }
+  /// Lowest free I/O queue id, or 0 when every granted queue is in use.
+  [[nodiscard]] std::uint16_t pick_free_qid() const;
+  /// Enter a live grant of `qid` in the record (bookkeeping only: the owner
+  /// table is the caller's to write).
+  void record_grant(std::uint16_t qid, std::uint32_t owner, std::uint64_t sq_addr,
+                    std::uint16_t sq_size, sim::Time created_at);
+  /// Release `qid`: reset its record, count every tenant share it still
+  /// carried as released, and clear its owner-table entry. The caller has
+  /// already issued (or skipped) the admin deletes.
+  void forget_grant(std::uint16_t qid);
   /// Does `client_node` own a grant whose SQ base falls in [lo, hi)?
   [[nodiscard]] bool has_stale_overlap(std::uint32_t client_node, std::uint64_t lo,
                                        std::uint64_t hi) const;
@@ -249,24 +261,30 @@ class Manager {
   std::unique_ptr<sim::Semaphore> admin_lock_;
 
   MetadataHeader header_;
-  std::vector<bool> qid_used_;      ///< index = qid; [0] reserved for admin
-  std::vector<std::uint32_t> qid_owner_;
-  /// Creation time per qid: grace period before a client's first heartbeat.
-  std::vector<sim::Time> qid_created_at_;
-  /// SQ base per qid, for stale-grant reclamation on re-served creates.
-  std::vector<std::uint64_t> qid_sq_addr_;
   /// One tenant share of a queue pair: a disjoint CID sub-range (v6).
   struct ShareEntry {
     std::uint32_t tenant = 0;
     std::uint16_t lo = 0;
     std::uint16_t hi = 0;  ///< exclusive
   };
-  /// Tenant shares per qid, sorted by lo for first-fit gap scans. Manager-
-  /// local bookkeeping: shares do not survive an HA takeover (clients
-  /// re-request them, like they re-heartbeat) — see MODEL.md §12.
-  std::vector<std::vector<ShareEntry>> qid_shares_;
-  /// SQ size per qid (the CID space a share scan allocates from).
-  std::vector<std::uint16_t> qid_sq_size_;
+  /// Who holds one I/O queue id. Mirrored to the owner table, which holds
+  /// everything here but the shares.
+  struct QpGrant {
+    bool used = false;
+    std::uint32_t owner = 0;
+    /// Grace period before a client's first heartbeat.
+    sim::Time created_at = 0;
+    /// SQ base, for stale-grant reclamation on re-served creates.
+    std::uint64_t sq_addr = 0;
+    /// The CID space a share scan allocates from.
+    std::uint16_t sq_size = 0;
+    /// Tenant shares, sorted by lo for first-fit gap scans. Manager-local
+    /// bookkeeping: shares do not survive an HA takeover (clients
+    /// re-request them, like they re-heartbeat) — see MODEL.md §12.
+    std::vector<ShareEntry> shares;
+  };
+  /// Index = qid; [0] is the admin pair, permanently used.
+  std::vector<QpGrant> grants_;
   // --- HA state -----------------------------------------------------------
   std::uint64_t epoch_ = 0;        ///< 0 until HA is enabled / takeover done
   sim::Time takeover_time_ = 0;    ///< reaper grace anchor (0 = never)

@@ -3,7 +3,10 @@
 // bounce-buffer behaviour, failure handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "driver/irq.hpp"
 #include "test_util.hpp"
@@ -162,6 +165,15 @@ struct RawMailbox {
     return response;
   }
 
+  /// The manager's owner-table entry for `qid`, as a standby would read it.
+  QpOwnerEntry owner_entry(std::uint16_t qid) {
+    QpOwnerEntry e;
+    EXPECT_TRUE(
+        tb_.fabric().peek(1, map_.addr() + owner_entry_offset(qid), as_writable_bytes_of(e))
+            .is_ok());
+    return e;
+  }
+
   Testbed& tb_;
   sisci::Map map_;
   std::uint64_t slot_addr_ = 0;
@@ -238,6 +250,124 @@ TEST(Manager, QueueExhaustionReportedOverMailbox) {
   auto r = mbox.call(third);
   EXPECT_EQ(static_cast<Errc>(r.status), Errc::resource_exhausted);
   EXPECT_EQ((*mgr)->active_queue_pairs(), 3u);  // admin + 2
+}
+
+/// A grant request for `count` queue pairs of 16 entries, one page-aligned
+/// ring per page in host 0 DRAM.
+MboxSlot raw_grant(Testbed& tb, MboxOp op, std::uint16_t count) {
+  MboxSlot req;
+  req.op = static_cast<std::uint32_t>(op);
+  req.qp_count = count;
+  req.sq_size = 16;
+  req.cq_size = 16;
+  req.sq_stride = 4096;
+  req.cq_stride = 4096;
+  const std::uint64_t rings = std::max<std::uint16_t>(count, 1);
+  req.sq_device_addr = *tb.cluster().alloc_dram(0, rings * req.sq_stride, 4096);
+  req.cq_device_addr = *tb.cluster().alloc_dram(0, rings * req.cq_stride, 4096);
+  return req;
+}
+
+TEST(Manager, BatchCreateRollsBackWhenQueuesRunOut) {
+  // Grant only 2 I/O queues; a batch of 3 creates two, runs out, and must
+  // delete both before answering.
+  Testbed tb(small_testbed(2));
+  Manager::Config mc;
+  mc.requested_io_queues = 2;
+  auto mgr = tb.wait(Manager::start(tb.service(), 0, tb.device_id(), mc));
+  ASSERT_TRUE(mgr.has_value());
+  RawMailbox mbox(tb, (*mgr)->header());
+
+  auto r = mbox.call(raw_grant(tb, MboxOp::create_qp_batch, 3));
+  EXPECT_EQ(static_cast<Errc>(r.status), Errc::resource_exhausted);
+  EXPECT_EQ(r.qid_out, 0u);
+  for (std::uint16_t c = 0; c < 3; ++c) EXPECT_EQ(r.qids[c], 0u) << c;
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 1u);  // admin only
+  EXPECT_EQ((*mgr)->stats().qps_created, 2u);
+  EXPECT_EQ((*mgr)->stats().qps_deleted, 2u);
+  for (std::uint16_t q = 1; q <= 2; ++q) {
+    const QpOwnerEntry e = mbox.owner_entry(q);
+    EXPECT_EQ(e.state, static_cast<std::uint32_t>(QpOwnerState::free)) << q;
+    EXPECT_EQ(e.owner_node, 0u) << q;
+    EXPECT_EQ(e.sq_device_addr, 0u) << q;
+  }
+  EXPECT_FALSE(tb.controller().is_fatal());
+}
+
+TEST(Manager, BatchDeleteRefusesForeignQidButDeletesOwnedOne) {
+  Testbed tb(small_testbed(3));
+  auto mgr = tb.wait(Manager::start(tb.service(), 0, tb.device_id(), {}));
+  ASSERT_TRUE(mgr.has_value());
+  auto other = tb.wait(Client::attach(tb.service(), 2, tb.device_id(), {}));
+  ASSERT_TRUE(other.has_value());
+  const std::uint16_t foreign = (*other)->qid();
+  RawMailbox mbox(tb, (*mgr)->header());
+  auto created = mbox.call(raw_grant(tb, MboxOp::create_qp_batch, 1));
+  ASSERT_EQ(static_cast<Errc>(created.status), Errc::ok);
+  const std::uint16_t owned = created.qids[0];
+  ASSERT_NE(owned, foreign);
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 3u);
+
+  // The foreign qid comes first: refusing it must not stop the owned one.
+  MboxSlot del;
+  del.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
+  del.qp_count = 2;
+  del.qids[0] = foreign;
+  del.qids[1] = owned;
+  auto r = mbox.call(del);
+  EXPECT_EQ(static_cast<Errc>(r.status), Errc::permission_denied);
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 2u);  // admin + node 2's pair
+  EXPECT_EQ((*mgr)->stats().qps_deleted, 1u);
+  EXPECT_EQ(mbox.owner_entry(owned).state, static_cast<std::uint32_t>(QpOwnerState::free));
+  const QpOwnerEntry kept = mbox.owner_entry(foreign);
+  EXPECT_EQ(kept.state, static_cast<std::uint32_t>(QpOwnerState::active));
+  EXPECT_EQ(kept.owner_node, 2u);
+  // Node 2's pair still moves data.
+  write_read_verify(tb, **other, 2, 100, 4096, 0x2b2b);
+}
+
+TEST(Manager, SingleCreateAnswersLikeABatchOfOne) {
+  // The same grant asked for with create_qp and with a one-pair
+  // create_qp_batch, each on a fresh testbed: same answer, same metrics.
+  struct Outcome {
+    MboxSlot response;
+    sim::Time end = 0;
+    std::string registry;
+  };
+  auto grant = [](MboxOp op) {
+    obs::Registry::global().reset_values();
+    Outcome out;
+    Testbed tb(small_testbed(2));
+    Manager::Config mc;
+    mc.qos_policy.classes[0].allowed = 0;  // urgent demotes to high
+    mc.qos_policy.classes[1].max_iops = 20'000;
+    auto mgr = tb.wait(Manager::start(tb.service(), 0, tb.device_id(), mc));
+    EXPECT_TRUE(mgr.has_value());
+    if (!mgr) return out;
+    RawMailbox mbox(tb, (*mgr)->header());
+    MboxSlot req = raw_grant(tb, op, op == MboxOp::create_qp ? 0 : 1);
+    req.qos_class = 0;
+    req.qos_iops = 50'000;
+    req.qos_bytes_per_s = 1'000'000;
+    out.response = mbox.call(req);
+    out.end = tb.engine().now();
+    out.registry = obs::Registry::global().to_table();
+    return out;
+  };
+  const Outcome single = grant(MboxOp::create_qp);
+  const Outcome batch = grant(MboxOp::create_qp_batch);
+  EXPECT_EQ(static_cast<Errc>(single.response.status), Errc::ok);
+  EXPECT_EQ(single.response.qid_out, 1u);
+  EXPECT_EQ(single.response.qos_granted_class, 1u);
+  EXPECT_EQ(single.response.qos_granted_iops, 20'000u);
+  EXPECT_EQ(single.response.status, batch.response.status);
+  EXPECT_EQ(single.response.qid_out, batch.response.qid_out);
+  EXPECT_EQ(single.response.nvme_status, batch.response.nvme_status);
+  EXPECT_EQ(single.response.qos_granted_class, batch.response.qos_granted_class);
+  EXPECT_EQ(single.response.qos_granted_iops, batch.response.qos_granted_iops);
+  EXPECT_EQ(single.response.qos_granted_bytes_per_s, batch.response.qos_granted_bytes_per_s);
+  EXPECT_EQ(single.end, batch.end);
+  EXPECT_EQ(single.registry, batch.registry);
 }
 
 TEST(Client, RejectsBadConfig) {
@@ -424,6 +554,107 @@ TEST(Client, QueueDepthLimitsInflight) {
   ASSERT_TRUE(result.has_value()) << result.status().to_string();
   EXPECT_EQ(result->ops_completed, 50u);
   EXPECT_EQ(result->errors, 0u);
+}
+
+/// Passes requests through to a device and keeps each completion's status
+/// code, in completion order.
+class StatusTap final : public block::BlockDevice {
+ public:
+  StatusTap(sim::Engine& engine, block::BlockDevice& dev) : engine_(engine), dev_(dev) {}
+  [[nodiscard]] std::string_view name() const override { return dev_.name(); }
+  [[nodiscard]] std::uint32_t block_size() const override { return dev_.block_size(); }
+  [[nodiscard]] std::uint64_t capacity_blocks() const override { return dev_.capacity_blocks(); }
+  [[nodiscard]] std::uint32_t max_queue_depth() const override { return dev_.max_queue_depth(); }
+  [[nodiscard]] std::uint64_t max_transfer_bytes() const override {
+    return dev_.max_transfer_bytes();
+  }
+  sim::Future<block::Completion> submit(const block::Request& request) override {
+    sim::Promise<block::Completion> promise(engine_);
+    relay(request, promise);
+    return promise.future();
+  }
+
+  std::vector<Errc> codes;
+
+ private:
+  sim::Task relay(block::Request request, sim::Promise<block::Completion> promise) {
+    block::Completion done = co_await dev_.submit(request);
+    codes.push_back(done.status.code());
+    promise.set(std::move(done));
+  }
+
+  sim::Engine& engine_;
+  block::BlockDevice& dev_;
+};
+
+TEST(Client, DetachAbortsTheCommandInFlight) {
+  // A QD1 job is mid-read when its client detaches: that read resolves as
+  // aborted, the job's later reads fail fast, and the job ends. Reads take
+  // 1 ms of media time, so the detach RPC finishes long before the read.
+  TestbedConfig cfg = small_testbed(2);
+  cfg.nvme.service.read_media_ns = 1'000'000;
+  Testbed tb(cfg);
+  auto stack = bring_up(tb, 0, 1);
+  ASSERT_TRUE(stack.has_value());
+  Client& client = *stack->client;
+  StatusTap tap(tb.engine(), client);
+  workload::JobSpec spec;
+  spec.pattern = workload::JobSpec::Pattern::randread;
+  spec.ops = 64;
+  spec.queue_depth = 1;
+  auto job = workload::run_job(tb.cluster(), tap, 1, spec);
+  tb.engine().run_for(2'500'000);
+  const std::uint64_t issued = client.stats().reads.value();
+  ASSERT_EQ(issued, 3u);
+  ASSERT_EQ(tap.codes.size(), issued - 1);  // the third read is in flight
+
+  Status st = tb.wait_status(client.detach());
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  auto result = tb.wait(std::move(job), 10_ms);
+  ASSERT_TRUE(result.has_value()) << result.status().to_string();
+  EXPECT_EQ(result->ops_completed, spec.ops);
+  EXPECT_EQ(result->errors, spec.ops - (issued - 1));
+  ASSERT_EQ(tap.codes.size(), spec.ops);
+  for (std::uint64_t i = 0; i < spec.ops; ++i) {
+    EXPECT_EQ(tap.codes[i], i + 1 < issued ? Errc::ok : Errc::aborted) << i;
+  }
+  EXPECT_FALSE(tb.controller().is_fatal());
+}
+
+TEST(Client, DetachUnderLoadRingsNoDeletedQueue) {
+  // Reads keep completing while the detach RPC runs, so the job keeps
+  // submitting. None of those submissions may reach the queue pairs the
+  // manager deletes: a doorbell on a deleted queue makes the shared
+  // controller fatal. The detach instant sweeps across a few commands.
+  for (const std::uint32_t qd : {1u, 8u}) {
+    for (sim::Duration offset = 0; offset < 40'000; offset += 1'237) {
+      SCOPED_TRACE(testing::Message() << "qd " << qd << " offset " << offset);
+      Testbed tb(small_testbed(3));
+      auto stack = bring_up(tb, 0, 1);
+      ASSERT_TRUE(stack.has_value());
+      Client& client = *stack->client;
+      std::optional<sim::Future<Status>> detached;
+      tb.engine().at(tb.engine().now() + 20'000 + offset,
+                     [&]() { detached = client.detach(); });
+      workload::JobSpec spec;
+      spec.pattern = workload::JobSpec::Pattern::randread;
+      spec.ops = 64;
+      spec.queue_depth = qd;
+      auto result = tb.wait(workload::run_job(tb.cluster(), client, 1, spec), 10_ms);
+      ASSERT_TRUE(result.has_value()) << result.status().to_string();
+      EXPECT_EQ(result->ops_completed, spec.ops);
+      EXPECT_GT(result->errors, 0u);
+      EXPECT_LT(result->errors, spec.ops);  // the job was under way
+      ASSERT_TRUE(detached.has_value());
+      Status st = tb.wait_status(std::move(*detached));
+      EXPECT_TRUE(st.is_ok()) << st.to_string();
+      EXPECT_FALSE(tb.controller().is_fatal());
+      // Another host still gets a working queue pair.
+      auto other = tb.wait(Client::attach(tb.service(), 2, tb.device_id(), {}));
+      ASSERT_TRUE(other.has_value()) << other.status().to_string();
+      write_read_verify(tb, **other, 2, 0, 4096, 0x5eed + offset);
+    }
+  }
 }
 
 TEST(LocalDriver, PolledModeWorksWithoutIrq) {

@@ -128,7 +128,12 @@ TEST(FabricPin, NtbPathMatchesPreRefactorSeed) {
 // rule; its constants were captured from the spinning pollers (the commit
 // before PollGrid) with NVS_PIN_CAPTURE=1: final clock, job latency sums,
 // and an FNV-1a digest of the non-zero registry metrics, which covers
-// nvmeshare.client.poll_rounds.
+// nvmeshare.client.poll_rounds. The client-detach row was re-captured once
+// detach began to fail the commands still in flight and to keep the
+// client's doorbells off the queue pair it releases: before, the job never
+// ended, the row stopped the clock 50 us after the detach, and a read
+// submitted during the release rang a deleted SQ, which made the controller
+// fatal.
 
 struct GridPin {
   sim::Time end_time = 0;
@@ -290,11 +295,12 @@ GridPin stop_while_asleep(bool crash) {
   });
   auto job = workload::run_job(tb.cluster(), *client, 1,
                                pin_job(workload::JobSpec::Pattern::randread, 1, 64));
-  if (crash) {
-    add_job(pin, tb.wait(std::move(job)));
-  } else {
-    // The read in flight at the detach is never reaped: the job never ends.
-    tb.engine().run_until(when + 50'000);
+  // Either stop ends the job: a read still in flight resolves as aborted and
+  // the reads after it fail fast, without a doorbell reaching a queue pair
+  // the manager deleted (that would make the shared controller fatal).
+  add_job(pin, tb.wait(std::move(job)));
+  EXPECT_FALSE(tb.controller().is_fatal());
+  if (!crash) {
     const std::optional<Status> st = detached ? detached->try_take() : std::nullopt;
     EXPECT_TRUE(st && st->is_ok()) << (st ? st->to_string() : "detach pending");
   }
@@ -331,7 +337,7 @@ TEST(FabricPin, SkippedPollRoundsMatchSpinningPollers) {
       {"client-crash", [] { return stop_while_asleep(true); },
        {3000000, 46023, 64, 61, 0x83de76fea90fdb62ULL}},
       {"client-detach", [] { return stop_while_asleep(false); },
-       {2105003, 0, 0, 0, 0x7b7191e8f6db5a31ULL}},
+       {3000000, 60958, 64, 60, 0xa90727c46a159919ULL}},
   };
   const bool capture = std::getenv("NVS_PIN_CAPTURE") != nullptr;
   for (const GridScenario& sc : scenarios) {
