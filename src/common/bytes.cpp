@@ -1,5 +1,6 @@
 #include "common/bytes.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -26,32 +27,59 @@ std::uint64_t as_le(std::uint64_t x) {
     return out;
   }
 }
-}  // namespace
 
-void fill_pattern(ByteSpan dst, std::uint64_t seed) {
-  const std::size_t words = dst.size() / 8;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t x = as_le(pattern_word(seed, w));
-    std::memcpy(dst.data() + 8 * w, &x, 8);
-  }
-  const std::uint64_t tail = pattern_word(seed, words);
-  for (std::size_t i = 8 * words; i < dst.size(); ++i) {
-    dst[i] = std::byte{static_cast<std::uint8_t>(tail >> (8 * (i % 8)))};
-  }
+/// Byte `pos` of stream `seed`: byte pos % 8 of word pos / 8.
+std::byte pattern_byte(std::uint64_t seed, std::size_t pos) {
+  return std::byte{static_cast<std::uint8_t>(pattern_word(seed, pos / 8) >> (8 * (pos % 8)))};
 }
 
-bool check_pattern(ConstByteSpan buf, std::uint64_t seed) {
-  const std::size_t words = buf.size() / 8;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t x;
-    std::memcpy(&x, buf.data() + 8 * w, 8);
-    if (x != as_le(pattern_word(seed, w))) return false;
+/// Walk stream bytes [offset, offset + n): `on_byte(i, b)` for the bytes
+/// before the first and after the last whole stream word, `on_word(i, x)`
+/// for each whole word (as stored), where `i` indexes the caller's buffer.
+/// Stops at the first callback that returns false.
+template <typename OnWord, typename OnByte>
+bool walk_stream(std::size_t n, std::uint64_t seed, std::size_t offset, OnWord on_word,
+                 OnByte on_byte) {
+  std::size_t i = 0;
+  for (; i < n && (offset + i) % 8 != 0; ++i) {
+    if (!on_byte(i, pattern_byte(seed, offset + i))) return false;
   }
-  const std::uint64_t tail = pattern_word(seed, words);
-  for (std::size_t i = 8 * words; i < buf.size(); ++i) {
-    if (buf[i] != std::byte{static_cast<std::uint8_t>(tail >> (8 * (i % 8)))}) return false;
+  for (std::size_t w = (offset + i) / 8; n - i >= 8; i += 8, ++w) {
+    if (!on_word(i, as_le(pattern_word(seed, w)))) return false;
+  }
+  for (; i < n; ++i) {
+    if (!on_byte(i, pattern_byte(seed, offset + i))) return false;
   }
   return true;
+}
+}  // namespace
+
+void fill_pattern(ByteSpan dst, std::uint64_t seed, std::size_t offset) {
+  walk_stream(
+      dst.size(), seed, offset,
+      [&](std::size_t i, std::uint64_t x) {
+        std::memcpy(dst.data() + i, &x, 8);
+        return true;
+      },
+      [&](std::size_t i, std::byte b) {
+        dst[i] = b;
+        return true;
+      });
+}
+
+bool check_pattern(ConstByteSpan buf, std::uint64_t seed, std::size_t offset) {
+  return walk_stream(
+      buf.size(), seed, offset,
+      [&](std::size_t i, std::uint64_t x) {
+        std::uint64_t have;
+        std::memcpy(&have, buf.data() + i, 8);
+        return have == x;
+      },
+      [&](std::size_t i, std::byte b) { return buf[i] == b; });
+}
+
+bool is_zero(ConstByteSpan buf) {
+  return std::all_of(buf.begin(), buf.end(), [](std::byte b) { return b == std::byte{0}; });
 }
 
 Bytes make_pattern(std::size_t n, std::uint64_t seed) {

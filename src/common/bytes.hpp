@@ -17,13 +17,19 @@ using Bytes = std::vector<std::byte>;
 using ByteSpan = std::span<std::byte>;
 using ConstByteSpan = std::span<const std::byte>;
 
-/// Fill `dst` with a deterministic pattern derived from `seed`. Two buffers
-/// filled with the same seed compare equal; different seeds differ with
-/// overwhelming probability.
-void fill_pattern(ByteSpan dst, std::uint64_t seed);
+/// Fill `dst` with bytes [offset, offset + dst.size()) of a deterministic
+/// pattern stream derived from `seed`. Two buffers filled with the same seed
+/// compare equal; different seeds differ with overwhelming probability.
+/// Filling the pieces of a buffer at their offsets gives the same bytes as
+/// filling it whole.
+void fill_pattern(ByteSpan dst, std::uint64_t seed, std::size_t offset = 0);
 
-/// True iff `buf` holds exactly the pattern produced by fill_pattern(seed).
-[[nodiscard]] bool check_pattern(ConstByteSpan buf, std::uint64_t seed);
+/// True iff `buf` holds exactly what fill_pattern(buf, seed, offset) writes.
+[[nodiscard]] bool check_pattern(ConstByteSpan buf, std::uint64_t seed,
+                                 std::size_t offset = 0);
+
+/// True iff every byte of `buf` is zero.
+[[nodiscard]] bool is_zero(ConstByteSpan buf);
 
 /// Allocate a buffer of `n` bytes pre-filled with pattern `seed`.
 [[nodiscard]] Bytes make_pattern(std::size_t n, std::uint64_t seed);

@@ -1,7 +1,6 @@
 #include "cxl/pool.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/log.hpp"
 #include "common/units.hpp"
@@ -192,6 +191,19 @@ Status PoolFabric::apply_read_into(const Resolved& t, ByteSpan out) {
   return Status(Errc::internal, "unreachable");
 }
 
+Status PoolFabric::apply_read_append(const Resolved& t, std::size_t len, Bytes& out) {
+  switch (t.kind) {
+    case Resolved::Kind::dram:
+      return hosts_[t.host].dram->append_to(out, t.addr, len);
+    case Resolved::Kind::pool:
+      return pool_.append_to(out, t.addr, len);
+    case Resolved::Kind::bar:
+      out.resize(out.size() + len);
+      return apply_read_into(t, ByteSpan(out).last(len));
+  }
+  return Status(Errc::internal, "unreachable");
+}
+
 // --- latency -----------------------------------------------------------------
 
 sim::Duration PoolFabric::one_way_ns(HostId viewer, const Resolved& t,
@@ -269,8 +281,7 @@ Result<sim::Time> PoolFabric::post_write(const Initiator& who, std::uint64_t add
   const sim::Time arrival =
       posted_arrival(initiator_id(who), floor_key(*target), lat, ser, not_before);
   if (fault_drop) return arrival;
-  Bytes payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
+  Bytes payload(data.begin(), data.end());
   if (corrupt.flip) {
     payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
@@ -289,7 +300,7 @@ Result<sim::Time> PoolFabric::post_write(const Initiator& who, std::uint64_t add
 }
 
 Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
-                                       ConstByteSpan data, sim::Time not_before) {
+                                       Bytes data, sim::Time not_before) {
   std::uint64_t total = 0;
   sim::Duration worst_one_way = 0;
   std::vector<Resolved> targets;
@@ -348,10 +359,8 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
     posted_floor_[{initiator_id(who), k}] = arrival;
   }
   if (fault_drop) return arrival;
-  Bytes payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
   if (corrupt.flip) {
-    payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
+    data[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -360,7 +369,7 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
     }
   }
   engine_.at(arrival,
-             [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() {
+             [this, targets = std::move(targets), sg, d = std::move(data), deliver]() {
                std::size_t off = 0;
                for (std::size_t i = 0; i < targets.size() && off < deliver; ++i) {
                  const std::size_t chunk = std::min<std::size_t>(sg[i].len, deliver - off);
@@ -399,8 +408,9 @@ sim::Future<Result<Bytes>> PoolFabric::read(const Initiator& who, std::uint64_t 
   engine_.after(one_way + cfg_.pool_access_ns,
                 [this, t = *target, len, promise, src = who.host,
                  remaining = total - one_way - cfg_.pool_access_ns]() mutable {
-                  Bytes data(len);
-                  Status st = apply_read_into(t, data);
+                  Bytes data;
+                  data.reserve(len);
+                  Status st = apply_read_append(t, len, data);
                   if (st && fault::enabled() &&
                       fault::Injector::global().on_dma_read(
                           src, fault_host(src, t), t.kind == Resolved::Kind::bar)) {
@@ -456,16 +466,14 @@ sim::Future<Result<Bytes>> PoolFabric::read_sg(const Initiator& who,
       first_leg,
       [this, targets = std::move(targets), sg, promise, src = who.host,
        remaining = total_lat - first_leg, total]() mutable {
-        Bytes out(total);
+        Bytes out;
+        out.reserve(total);
         Status failure = Status::ok();
-        std::size_t off = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-          if (Status st = apply_read_into(targets[i], ByteSpan(out).subspan(off, sg[i].len));
-              !st) {
+          if (Status st = apply_read_append(targets[i], sg[i].len, out); !st) {
             failure = st;
             break;
           }
-          off += sg[i].len;
         }
         if (failure.is_ok() && !targets.empty() && fault::enabled() &&
             fault::Injector::global().on_dma_read(

@@ -125,7 +125,7 @@ class PoolFabric final : public fabric::Substrate {
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0) override;
   Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
-                             ConstByteSpan data, sim::Time not_before = 0) override;
+                             Bytes data, sim::Time not_before = 0) override;
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;
   sim::Future<Result<Bytes>> read_sg(const Initiator& who,
@@ -182,6 +182,8 @@ class PoolFabric final : public fabric::Substrate {
   [[nodiscard]] Status check_reachable(HostId viewer, const Resolved& t) const;
   Status apply_write(const Resolved& t, ConstByteSpan data);
   Status apply_read_into(const Resolved& t, ByteSpan out);
+  /// Append `len` bytes read from the target to `out` (DMA read payloads).
+  Status apply_read_append(const Resolved& t, std::size_t len, Bytes& out);
 
   /// One-way initiator-side latency to a target.
   [[nodiscard]] sim::Duration one_way_ns(HostId viewer, const Resolved& t,

@@ -262,12 +262,6 @@ class Client final : public block::BlockDevice, private block::IoTransport {
 
   [[nodiscard]] sim::Engine& engine();
   [[nodiscard]] fabric::Substrate& fabric();
-  /// Data copies between the user's DRAM buffer and a bounce slot. The copy
-  /// itself is applied instantly; the time is charged separately from the
-  /// cost model plus the substrate's staging cost (zero for local DRAM,
-  /// port/DSA latency for a pooled bounce segment).
-  Status copy_to_bounce(std::uint64_t slot_off, std::uint64_t src, std::uint64_t len);
-  Status copy_from_bounce(std::uint64_t dst, std::uint64_t slot_off, std::uint64_t len);
   /// Build channel `chan`'s queue-pair view over this client's ring slices.
   [[nodiscard]] std::unique_ptr<nvme::QueuePair> make_queue_pair(std::uint32_t chan,
                                                                  std::uint16_t qid);

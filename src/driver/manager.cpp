@@ -1230,7 +1230,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
     if (!raw) continue;  // link down; retry next tick
     const auto lease = load_pod<ManagerLease>(*raw);
     if (lease.epoch == 0) continue;  // registration moved to a non-HA manager
-    if (eng.now() < lease.expires_at_ns) continue;
+    if (static_cast<std::uint64_t>(eng.now()) < lease.expires_at_ns) continue;
 
     // Expired. Competing standbys resolve deterministically: wait our
     // stagger slot, re-read, and only claim if nobody else did.
@@ -1241,7 +1241,10 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
     if (*stop) co_return;
     if (!raw) continue;
     auto cur = load_pod<ManagerLease>(*raw);
-    if (cur.epoch != lease.epoch || eng.now() < cur.expires_at_ns) continue;
+    if (cur.epoch != lease.epoch ||
+        static_cast<std::uint64_t>(eng.now()) < cur.expires_at_ns) {
+      continue;
+    }
 
     ManagerLease claim;
     claim.epoch = cur.epoch + 1;

@@ -161,9 +161,12 @@ class Substrate {
 
   /// Posted scatter write of one buffer across multiple target ranges
   /// (device DMA of a data block through PRP pages). One aggregate
-  /// serialization cost; returns arrival time of the *last* byte.
+  /// serialization cost; returns arrival time of the *last* byte. Takes
+  /// ownership of `data`: the buffer itself is the in-flight copy (a fault
+  /// damages it in place) and lands at arrival, so a device that is done
+  /// with its buffer moves it in and no byte is copied before landing.
   virtual Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
-                                     ConstByteSpan data, sim::Time not_before = 0) = 0;
+                                     Bytes data, sim::Time not_before = 0) = 0;
 
   /// Non-posted read; future resolves after the full round trip.
   virtual sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,

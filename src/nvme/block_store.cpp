@@ -16,54 +16,56 @@ Status BlockStore::check_range(std::uint64_t slba, std::uint32_t nblocks) const 
   return Status::ok();
 }
 
-Status BlockStore::read(std::uint64_t slba, std::uint32_t nblocks, ByteSpan out) const {
-  NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
+template <typename F>
+void BlockStore::for_each_piece(std::uint64_t slba, std::uint32_t nblocks, F&& f) const {
   const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
-  if (out.size() != bytes) return Status(Errc::invalid_argument, "buffer size mismatch");
+  const std::uint64_t pos = slba * block_size_;
+  for (std::uint64_t done = 0; done < bytes;) {
+    const std::uint64_t off = (pos + done) % kChunkBytes;
+    const std::uint64_t n = std::min(bytes - done, kChunkBytes - off);
+    f(done, (pos + done) / kChunkBytes, off, n);
+    done += n;
+  }
+}
 
-  std::uint64_t pos = slba * block_size_;
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::size_t n =
-        std::min<std::size_t>(bytes - done, static_cast<std::size_t>(kChunkBytes - off));
+Result<Bytes> BlockStore::read(std::uint64_t slba, std::uint32_t nblocks) const {
+  NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
+  Bytes out;
+  out.reserve(static_cast<std::size_t>(nblocks) * block_size_);
+  for_each_piece(slba, nblocks, [&](std::uint64_t, std::uint64_t chunk_idx,
+                                    std::uint64_t off, std::uint64_t n) {
     auto it = chunks_.find(chunk_idx);
     if (it != chunks_.end()) {
-      std::memcpy(out.data() + done, it->second.data() + off, n);
+      const auto* src = it->second.data() + off;
+      out.insert(out.end(), src, src + n);
     } else {
-      std::memset(out.data() + done, 0, n);
+      out.resize(out.size() + n);  // deallocated: reads as zeroes
     }
-    done += n;
-    pos += n;
-  }
-  return Status::ok();
+  });
+  return out;
 }
 
 Status BlockStore::write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpan in) {
   NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
-  const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
-  if (in.size() != bytes) return Status(Errc::invalid_argument, "buffer size mismatch");
+  if (in.size() != static_cast<std::uint64_t>(nblocks) * block_size_) {
+    return Status(Errc::invalid_argument, "buffer size mismatch");
+  }
   if (pi_enabled_) {
     // Overwriting invalidates stored tuples; a PRACT write re-generates
     // them afterwards. Without this, a non-PRACT overwrite would leave a
     // stale tuple that a later check or scrub flags as a false mismatch.
     for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) pi_.erase(lba);
   }
-
-  std::uint64_t pos = slba * block_size_;
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::size_t n =
-        std::min<std::size_t>(bytes - done, static_cast<std::size_t>(kChunkBytes - off));
+  for_each_piece(slba, nblocks, [&](std::uint64_t done, std::uint64_t chunk_idx,
+                                    std::uint64_t off, std::uint64_t n) {
     auto& chunk = chunks_[chunk_idx];
+    if (chunk.empty() && n == kChunkBytes) {
+      chunk.assign(in.begin() + done, in.begin() + done + n);  // no zero-fill first
+      return;
+    }
     if (chunk.empty()) chunk.assign(kChunkBytes, std::byte{0});
     std::memcpy(chunk.data() + off, in.data() + done, n);
-    done += n;
-    pos += n;
-  }
+  });
   return Status::ok();
 }
 
@@ -72,24 +74,16 @@ Status BlockStore::write_zeroes(std::uint64_t slba, std::uint32_t nblocks) {
   if (pi_enabled_) {
     for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) pi_.erase(lba);
   }
-  const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
-  std::uint64_t pos = slba * block_size_;
-  std::uint64_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::uint64_t n = std::min<std::uint64_t>(bytes - done, kChunkBytes - off);
+  for_each_piece(slba, nblocks, [&](std::uint64_t, std::uint64_t chunk_idx, std::uint64_t off,
+                                    std::uint64_t n) {
     auto it = chunks_.find(chunk_idx);
-    if (it != chunks_.end()) {
-      if (off == 0 && n == kChunkBytes) {
-        chunks_.erase(it);  // whole chunk zeroed -> drop it
-      } else {
-        std::memset(it->second.data() + off, 0, n);
-      }
+    if (it == chunks_.end()) return;
+    if (n == kChunkBytes) {
+      chunks_.erase(it);  // whole chunk zeroed -> drop it
+    } else {
+      std::memset(it->second.data() + off, 0, n);
     }
-    done += n;
-    pos += n;
-  }
+  });
   return Status::ok();
 }
 
@@ -115,12 +109,12 @@ Result<std::uint64_t> BlockStore::verify_stored_pi(std::uint64_t slba,
   NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
   if (!pi_enabled_) return std::uint64_t{0};
   std::uint64_t mismatches = 0;
-  Bytes block(block_size_);
   for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) {
     auto it = pi_.find(lba);
     if (it == pi_.end()) continue;  // deallocated: checks disabled
-    if (Status st = read(lba, 1, block); !st) return st;
-    if (integrity::verify_pi(it->second, block, lba, {}, it->second.app_tag) !=
+    auto block = read(lba, 1);
+    if (!block) return block.status();
+    if (integrity::verify_pi(it->second, *block, lba, {}, it->second.app_tag) !=
         integrity::PiCheck::ok) {
       ++mismatches;
     }

@@ -26,8 +26,9 @@ class BlockStore {
   [[nodiscard]] std::uint64_t capacity_blocks() const noexcept { return capacity_blocks_; }
   [[nodiscard]] std::uint32_t block_size() const noexcept { return block_size_; }
 
-  /// Read `nblocks` starting at `slba`; `out` must be nblocks*block_size.
-  Status read(std::uint64_t slba, std::uint32_t nblocks, ByteSpan out) const;
+  /// Read `nblocks` starting at `slba` into a new buffer, built chunk by
+  /// chunk (nothing is zero-filled first).
+  [[nodiscard]] Result<Bytes> read(std::uint64_t slba, std::uint32_t nblocks) const;
   /// Write `nblocks` starting at `slba`.
   Status write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpan in);
   /// Deallocate / zero a range (Write Zeroes). Drops stored PI: checks are
@@ -58,6 +59,11 @@ class BlockStore {
   static constexpr std::uint64_t kChunkBytes = 32 * 1024;
 
   [[nodiscard]] Status check_range(std::uint64_t slba, std::uint32_t nblocks) const;
+  /// Call `f(done, chunk_idx, off, n)` for each chunk-bounded piece of the
+  /// byte range of [slba, slba + nblocks); `done` is the piece's offset
+  /// into the range. The caller has checked the range.
+  template <typename F>
+  void for_each_piece(std::uint64_t slba, std::uint32_t nblocks, F&& f) const;
 
   std::uint64_t capacity_blocks_;
   std::uint32_t block_size_;

@@ -605,7 +605,7 @@ sim::Task Controller::run_admin(SubmissionEntry sqe, std::uint16_t sq_head_after
         complete(0, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
         co_return;
       }
-      auto arrival = fabric()->write_sg(dma_initiator(), *sg, payload);
+      auto arrival = fabric()->write_sg(dma_initiator(), *sg, std::move(payload));
       if (!arrival) {
         complete(0, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
         co_return;
@@ -794,6 +794,7 @@ sim::Duration Controller::media_latency(IoOpcode op, std::uint32_t nblocks) {
     case IoOpcode::write_zeroes: base = cfg_.service.write_media_ns; break;
     case IoOpcode::flush:
     case IoOpcode::dataset_management: return cfg_.service.flush_ns;
+    case IoOpcode::vendor_scrub: break;  // charged as a read by its caller
   }
   if (nblocks > 8) {
     base += static_cast<sim::Duration>(nblocks - 8) * cfg_.service.per_block_ns;
@@ -938,8 +939,8 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     if (gen != generation_) co_return;
     trace_io_span(qid, sqe.cid, obs::Phase::media, media_begin, engine_.now());
 
-    Bytes data(bytes);
-    if (Status st = store_.read(slba, nblocks, data); !st) {
+    auto data = store_.read(slba, nblocks);
+    if (!data) {
       complete(qid, sq_head_after, sqe.cid, kScInternalError, 0, gen, 0);
       co_return;
     }
@@ -953,7 +954,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
         const std::uint64_t lba = slba + i;
         auto pi = store_.read_pi(lba);
         if (!pi) continue;  // deallocated block: checks disabled per spec
-        const auto block = ConstByteSpan(data).subspan(
+        const auto block = ConstByteSpan(*data).subspan(
             static_cast<std::size_t>(i) * store_.block_size(), store_.block_size());
         ++istats.pi_verified;
         const integrity::PiCheck check = integrity::verify_pi(*pi, block, lba, mask);
@@ -978,7 +979,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
       co_return;
     }
-    auto arrival = fabric()->write_sg(dma_initiator(), *sg, data);
+    auto arrival = fabric()->write_sg(dma_initiator(), *sg, std::move(*data));
     if (!arrival) {
       complete(qid, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
       co_return;

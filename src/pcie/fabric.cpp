@@ -335,6 +335,14 @@ Status Fabric::apply_read_into(const Resolved& target, ByteSpan out) {
   return Status::ok();
 }
 
+Status Fabric::apply_read_append(const Resolved& target, std::size_t len, Bytes& out) {
+  if (target.kind == Resolved::Kind::dram) {
+    return hosts_[target.host]->dram->append_to(out, target.addr, len);
+  }
+  out.resize(out.size() + len);
+  return apply_read_into(target, ByteSpan(out).last(len));
+}
+
 // --- payload pool ------------------------------------------------------------------
 
 Bytes Fabric::take_payload(std::size_t n) {
@@ -430,7 +438,7 @@ Result<sim::Time> Fabric::post_write(const Initiator& who, std::uint64_t addr,
 }
 
 Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
-                                   ConstByteSpan data, sim::Time not_before) {
+                                   Bytes data, sim::Time not_before) {
   std::uint64_t total = 0;
   sim::Duration worst_path = 0;
   int worst_crossings = 0;
@@ -493,10 +501,8 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
     posted_floor_[{who.chip, chip}] = arrival;
   }
   if (fault_drop) return arrival;
-  Bytes payload = take_payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
   if (corrupt.flip) {
-    payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
+    data[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   // A torn scatter write delivers only the leading `torn_bytes` of the DMA.
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
@@ -506,7 +512,7 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
     }
   }
   engine_.at(arrival,
-             [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() mutable {
+             [this, targets = std::move(targets), sg, d = std::move(data), deliver]() {
                std::size_t off = 0;
                for (std::size_t i = 0; i < targets.size() && off < deliver; ++i) {
                  const std::size_t chunk = std::min<std::size_t>(sg[i].len, deliver - off);
@@ -520,7 +526,6 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
                  }
                  off += sg[i].len;
                }
-               recycle_payload(std::move(d));
              });
   return arrival;
 }
@@ -554,10 +559,11 @@ sim::Future<Result<Bytes>> Fabric::read(const Initiator& who, std::uint64_t addr
   engine_.after(one_way + model_.completer_access_ns,
                 [this, t = *target, len, promise, src = who.host,
                  remaining = total - one_way - model_.completer_access_ns]() mutable {
-                  // One buffer, filled in place — the DRAM fast path copies
-                  // straight from PhysMem into it.
-                  Bytes data(len);
-                  Status st = apply_read_into(t, data);
+                  // One buffer, built from the target's pages without a
+                  // zero-fill first.
+                  Bytes data;
+                  data.reserve(len);
+                  Status st = apply_read_append(t, len, data);
                   // Fault injection: a stale read completes successfully but
                   // carries old (zero-filled) data instead of memory contents.
                   if (st && fault::enabled() &&
@@ -616,19 +622,16 @@ sim::Future<Result<Bytes>> Fabric::read_sg(const Initiator& who,
       one_way + model_.completer_access_ns,
       [this, targets = std::move(targets), sg, promise, src = who.host,
        remaining = total_lat - one_way - model_.completer_access_ns, total]() mutable {
-        // Gather into one pre-sized buffer: every DRAM chunk lands directly
-        // in its final position instead of round-tripping through a
-        // per-chunk temporary.
-        Bytes out(total);
+        // Gather into one reserved buffer: every chunk is appended in
+        // place, with no zero-fill and no per-chunk temporary.
+        Bytes out;
+        out.reserve(total);
         Status failure = Status::ok();
-        std::size_t off = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-          if (Status st = apply_read_into(targets[i], ByteSpan(out).subspan(off, sg[i].len));
-              !st) {
+          if (Status st = apply_read_append(targets[i], sg[i].len, out); !st) {
             failure = st;
             break;
           }
-          off += sg[i].len;
         }
         // Fault injection (one decision per gather, matching write_sg): a
         // stale gather read completes with zero-filled data.

@@ -166,7 +166,7 @@ class Fabric final : public fabric::Substrate {
                                sim::Time not_before = 0) override;
 
   Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
-                             ConstByteSpan data, sim::Time not_before = 0) override;
+                             Bytes data, sim::Time not_before = 0) override;
 
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;
@@ -243,6 +243,8 @@ class Fabric final : public fabric::Substrate {
   Status apply_write(const Resolved& target, ConstByteSpan data);
   /// Read straight into the caller's span — no temporary for DRAM targets.
   Status apply_read_into(const Resolved& target, ByteSpan out);
+  /// Append `len` bytes read from the target to `out` (DMA read payloads).
+  Status apply_read_append(const Resolved& target, std::size_t len, Bytes& out);
 
   /// PCIe ordering: posted writes from one initiator to one completer may
   /// not pass each other, but they pipeline — a later write lands one

@@ -1,5 +1,6 @@
 #include "sisci/sisci.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/log.hpp"
@@ -92,16 +93,39 @@ void Segment::release() {
   cluster_ = nullptr;
 }
 
-Status Segment::write(std::uint64_t offset, ConstByteSpan data) {
+Result<mem::PhysMem*> Segment::backing(std::uint64_t offset, std::uint64_t len,
+                                       const char* what) const {
   if (!valid()) return Status(Errc::unavailable, "segment released");
-  if (offset + data.size() > size_) return Status(Errc::out_of_range, "segment write OOB");
-  return cluster_->fabric().host_dram(node_).write(phys_ + offset, data);
+  if (offset + len > size_ || offset + len < offset) {
+    return Status(Errc::out_of_range, std::string("segment ") + what + " OOB");
+  }
+  return &cluster_->fabric().host_dram(node_);
+}
+
+Status Segment::write(std::uint64_t offset, ConstByteSpan data) {
+  auto seg = backing(offset, data.size(), "write");
+  if (!seg) return seg.status();
+  return (*seg)->write(phys_ + offset, data);
 }
 
 Status Segment::read(std::uint64_t offset, ByteSpan out) const {
-  if (!valid()) return Status(Errc::unavailable, "segment released");
-  if (offset + out.size() > size_) return Status(Errc::out_of_range, "segment read OOB");
-  return cluster_->fabric().host_dram(node_).read(phys_ + offset, out);
+  auto seg = backing(offset, out.size(), "read");
+  if (!seg) return seg.status();
+  return (*seg)->read(phys_ + offset, out);
+}
+
+Status Segment::copy_in(std::uint64_t offset, const mem::PhysMem& dram, std::uint64_t addr,
+                        std::uint64_t len) {
+  auto seg = backing(offset, len, "write");
+  if (!seg) return seg.status();
+  return (*seg)->copy_from(phys_ + offset, dram, addr, len);
+}
+
+Status Segment::copy_out(std::uint64_t offset, mem::PhysMem& dram, std::uint64_t addr,
+                         std::uint64_t len) const {
+  auto seg = backing(offset, len, "read");
+  if (!seg) return seg.status();
+  return dram.copy_from(addr, **seg, phys_ + offset, len);
 }
 
 RemoteSegment Segment::descriptor() const noexcept {

@@ -92,6 +92,14 @@ class Segment {
   Status write(std::uint64_t offset, ConstByteSpan data);
   Status read(std::uint64_t offset, ByteSpan out) const;
 
+  /// Zero-latency CPU copy of `len` bytes between the segment at `offset`
+  /// and `dram` at `addr`, page to page with no staging buffer: copy_in
+  /// fills the segment from `dram`, copy_out drains it into `dram`.
+  Status copy_in(std::uint64_t offset, const mem::PhysMem& dram, std::uint64_t addr,
+                 std::uint64_t len);
+  Status copy_out(std::uint64_t offset, mem::PhysMem& dram, std::uint64_t addr,
+                  std::uint64_t len) const;
+
   /// Descriptor usable with Map::create / DeviceRef::map_for_device.
   [[nodiscard]] RemoteSegment descriptor() const noexcept;
 
@@ -99,6 +107,11 @@ class Segment {
 
  private:
   friend class Cluster;
+  /// The segment's backing memory, after the released / out-of-bounds
+  /// checks every access shares.
+  Result<mem::PhysMem*> backing(std::uint64_t offset, std::uint64_t len,
+                                const char* what) const;
+
   Cluster* cluster_ = nullptr;
   NodeId node_ = 0;
   SegmentId id_ = 0;

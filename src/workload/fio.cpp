@@ -90,8 +90,9 @@ sim::Task worker(std::shared_ptr<JobContext> ctx, std::uint32_t worker_index,
     std::uint64_t pattern_seed = 0;
     if (!is_read && !is_trim) {
       pattern_seed = (ctx->spec.seed << 20) ^ ctx->pattern_counter++;
-      Bytes data = make_pattern(bytes, pattern_seed);
-      (void)dram.write(buffer, data);
+      (void)dram.visit_mut(buffer, bytes, [&](std::uint64_t off, ByteSpan page) {
+        fill_pattern(page, pattern_seed, off);
+      });
     }
 
     block::Request request;
@@ -121,15 +122,11 @@ sim::Task worker(std::shared_ptr<JobContext> ctx, std::uint32_t worker_index,
       if (is_read && ctx->spec.verify) {
         auto it = ctx->written.find(lba);
         if (it != ctx->written.end()) {
-          Bytes data(bytes);
-          (void)dram.read(buffer, data);
-          bool good;
-          if (it->second == 0) {
-            good = std::all_of(data.begin(), data.end(),
-                               [](std::byte b) { return b == std::byte{0}; });
-          } else {
-            good = check_pattern(data, it->second);
-          }
+          const std::uint64_t expect = it->second;
+          bool good = true;
+          (void)dram.visit(buffer, bytes, [&](std::uint64_t off, ConstByteSpan page) {
+            good = good && (expect == 0 ? is_zero(page) : check_pattern(page, expect, off));
+          });
           if (!good) ++ctx->result.verify_failures;
         }
       }

@@ -9,6 +9,7 @@
 #include "common/stats.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "mem/phys_mem.hpp"
 
 namespace nvmeshare {
 namespace {
@@ -193,6 +194,95 @@ TEST(Bytes, PatternMatchesPerByteReference) {
       }
     }
   }
+}
+
+// Filling a buffer piece by piece at each piece's stream offset must give
+// the bytes of one whole fill, whatever the split: pieces that start and end
+// off the 8-byte word grid, one-byte pieces, and a short tail.
+TEST(Bytes, PatternPiecewiseFillMatchesWholeFill) {
+  constexpr std::size_t kLen = 3 * 4096 + 29;
+  std::vector<std::vector<std::size_t>> splits = {
+      {4096 - 13, 4096, 4096, 42},           // page pieces of a buffer at page offset 13
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},  // ragged head, then the rest
+      {8, 8, 7, 9, 1},                       // on and off the word grid
+      {kLen},                                // one piece
+  };
+  Rng rng(99);
+  std::vector<std::size_t> random_split;
+  for (std::size_t left = kLen; left > 0;) {
+    const std::size_t n = std::min<std::size_t>(left, 1 + rng.uniform(700));
+    random_split.push_back(n);
+    left -= n;
+  }
+  splits.push_back(random_split);
+  for (const std::uint64_t seed : {0ULL, 0x5eedULL, ~0ULL}) {
+    const Bytes whole = make_pattern(kLen, seed);
+    for (const auto& split : splits) {
+      Bytes pieces(kLen, std::byte{0xEE});
+      std::size_t off = 0;
+      for (std::size_t i = 0; off < kLen; ++i) {
+        const std::size_t n = i < split.size() ? std::min(split[i], kLen - off) : kLen - off;
+        fill_pattern(ByteSpan(pieces).subspan(off, n), seed, off);
+        EXPECT_TRUE(check_pattern(ConstByteSpan(whole).subspan(off, n), seed, off))
+            << "seed " << seed << " offset " << off << " length " << n;
+        off += n;
+      }
+      EXPECT_EQ(pieces, whole) << "seed " << seed << " split of " << split.size();
+    }
+  }
+}
+
+TEST(Bytes, PagewiseCheckCatchesOneFlippedByteInMiddlePage) {
+  constexpr std::uint64_t kPage = mem::PhysMem::kPageSize;
+  constexpr std::uint64_t kAddr = 3 * kPage + 100;  // pieces off the page grid
+  constexpr std::uint64_t kLen = 5 * kPage;
+  mem::PhysMem dram(1 * MiB);
+  ASSERT_TRUE(dram.visit_mut(kAddr, kLen, [](std::uint64_t off, ByteSpan page) {
+                    fill_pattern(page, 77, off);
+                  }).is_ok());
+  auto failing_pieces = [&] {
+    std::vector<std::uint64_t> bad;
+    EXPECT_TRUE(dram.visit(kAddr, kLen, [&](std::uint64_t off, ConstByteSpan page) {
+                      if (!check_pattern(page, 77, off)) bad.push_back(off);
+                    }).is_ok());
+    return bad;
+  };
+  EXPECT_TRUE(failing_pieces().empty());
+  Bytes whole(kLen);
+  ASSERT_TRUE(dram.read(kAddr, whole).is_ok());
+  EXPECT_TRUE(check_pattern(whole, 77));
+
+  // Flip one bit in the third page-bounded piece.
+  const std::uint64_t third = 2 * kPage - 100;  // offset of that piece
+  Bytes b(1);
+  ASSERT_TRUE(dram.read(kAddr + third + 1234, b).is_ok());
+  b[0] ^= std::byte{0x10};
+  ASSERT_TRUE(dram.write(kAddr + third + 1234, b).is_ok());
+  EXPECT_EQ(failing_pieces(), std::vector<std::uint64_t>{third});
+}
+
+TEST(Bytes, TrimExpectationPassesOverHoles) {
+  constexpr std::uint64_t kPage = mem::PhysMem::kPageSize;
+  mem::PhysMem dram(1 * MiB);
+  // Pages 1 and 3 hold zeroes that were written; 0, 2 and 4 are holes.
+  ASSERT_TRUE(dram.write(kPage, Bytes(kPage)).is_ok());
+  ASSERT_TRUE(dram.write(3 * kPage, Bytes(kPage)).is_ok());
+  bool zero = true;
+  bool pattern = false;
+  ASSERT_TRUE(dram.visit(0, 5 * kPage, [&](std::uint64_t off, ConstByteSpan page) {
+                    zero = zero && is_zero(page);
+                    pattern = pattern || check_pattern(page, 5, off);
+                  }).is_ok());
+  EXPECT_TRUE(zero);
+  EXPECT_FALSE(pattern);  // a pattern expectation does not pass over a hole
+  EXPECT_EQ(dram.resident_pages(), 2u);
+
+  ASSERT_TRUE(dram.write(2 * kPage + 9, Bytes{std::byte{1}}).is_ok());
+  zero = true;
+  ASSERT_TRUE(dram.visit(0, 5 * kPage, [&](std::uint64_t, ConstByteSpan page) {
+                    zero = zero && is_zero(page);
+                  }).is_ok());
+  EXPECT_FALSE(zero);
 }
 
 TEST(Bytes, PatternsDifferAcrossSeeds) {

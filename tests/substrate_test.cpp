@@ -138,6 +138,122 @@ TEST_P(SubstrateTest, RecoversFromLinkFlap) {
   write_read_verify(tb, *stack->client, 1, /*lba=*/2048, 4096, /*seed=*/0x5A);
 }
 
+// --- payload ownership -------------------------------------------------------------
+
+constexpr std::size_t kSgPages = 16;
+constexpr std::size_t kSgBytes = kSgPages * 4096;
+
+/// Sixteen 4 KiB pages of host 0's DRAM listed in reverse, so a 64 KiB
+/// scatter write lands out of address order, each page preset to `fill`.
+std::vector<fabric::SgEntry> reversed_pages(Testbed& tb, std::byte fill) {
+  auto base = tb.cluster().alloc_dram(0, kSgBytes, 4096);
+  EXPECT_TRUE(base.has_value());
+  std::vector<fabric::SgEntry> sg;
+  for (std::size_t p = 0; p < kSgPages; ++p) {
+    sg.push_back(fabric::SgEntry{*base + (kSgPages - 1 - p) * 4096, 4096});
+  }
+  EXPECT_TRUE(tb.substrate().host_dram(0).write(*base, Bytes(kSgBytes, fill)).is_ok());
+  return sg;
+}
+
+/// What the scatter list holds now, in list order.
+Bytes gather(Testbed& tb, const std::vector<fabric::SgEntry>& sg) {
+  Bytes out;
+  for (const auto& e : sg) {
+    EXPECT_TRUE(tb.substrate().host_dram(0).append_to(out, e.addr, e.len).is_ok());
+  }
+  return out;
+}
+
+TEST_P(SubstrateTest, OwningScatterWriteOf64KiBLandsIntact) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  const auto sg = reversed_pages(tb, std::byte{0x5A});
+  Bytes payload = make_pattern(kSgBytes, 0x64);
+  const Bytes sent = payload;
+  auto arrival = sub.write_sg(sub.cpu(0), sg, std::move(payload));
+  ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+  EXPECT_EQ(gather(tb, sg), Bytes(kSgBytes, std::byte{0x5A})) << "landed before arrival";
+  tb.engine().run_until(*arrival);
+  EXPECT_EQ(gather(tb, sg), sent);
+}
+
+// The fabric damages the buffer it was handed in place. Replaying the
+// plan's first decision by hand names the bit or prefix it must damage.
+TEST_P(SubstrateTest, CorruptedScatterWriteLandsExactlyTheNamedDamage) {
+  for (const std::string kind : {"flip_dma_bits", "torn_dma_write"}) {
+    SCOPED_TRACE(kind);
+    Testbed tb(config(1));
+    fabric::Substrate& sub = tb.substrate();
+    const auto sg = reversed_pages(tb, std::byte{0x5A});
+    auto plan = fault::parse_plan("seed=5;" + kind + ":src=0,dst=0,nth=1,count=1");
+    ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+    fault::Injector& injector = fault::Injector::global();
+    injector.configure(*plan);
+    const auto named = injector.on_posted_write(0, 0, /*to_bar=*/false, kSgBytes);
+    injector.configure(std::move(*plan));  // the fabric draws the same decision
+
+    const Bytes sent = make_pattern(kSgBytes, 0x65);
+    auto arrival = sub.write_sg(sub.cpu(0), sg, sent);
+    injector.disarm();
+    ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+    tb.engine().run_until(*arrival);
+
+    Bytes want = sent;
+    if (named.flip) {
+      want[named.flip_bit / 8] ^= std::byte{1} << (named.flip_bit % 8);
+    } else {
+      ASSERT_TRUE(named.torn);
+      std::fill(want.begin() + static_cast<std::ptrdiff_t>(named.torn_bytes), want.end(),
+                std::byte{0x5A});
+    }
+    EXPECT_NE(want, sent);
+    EXPECT_EQ(gather(tb, sg), want);
+  }
+}
+
+TEST_P(SubstrateTest, PostedWriteSnapshotsTheCallersBuffer) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  auto addr = tb.cluster().alloc_dram(0, 4096, 4096);
+  ASSERT_TRUE(addr.has_value());
+  Bytes buf = make_pattern(256, 0x66);
+  const Bytes sent = buf;
+  auto arrival = sub.post_write(sub.cpu(0), *addr, buf);
+  ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+  std::fill(buf.begin(), buf.end(), std::byte{0xEE});  // reused at once
+  tb.engine().run_until(*arrival);
+  Bytes landed(sent.size());
+  ASSERT_TRUE(sub.host_dram(0).read(*addr, landed).is_ok());
+  EXPECT_EQ(landed, sent);
+}
+
+// The bounce copy helpers keep the segment's own checks: bounds while it
+// is exported, `unavailable` once it is released.
+TEST_P(SubstrateTest, BounceCopyAgainstReleasedSegmentIsUnavailable) {
+  Testbed tb(config(1));
+  mem::PhysMem& dram = tb.substrate().host_dram(0);
+  auto seg = tb.cluster().create_segment_placed(0, 0, /*cpu_access=*/true,
+                                                /*device_access=*/true, /*id=*/77, kSgBytes);
+  ASSERT_TRUE(seg.has_value()) << seg.status().to_string();
+  auto buf = tb.cluster().alloc_dram(0, 2 * kSgBytes, 4096);
+  ASSERT_TRUE(buf.has_value());
+  const Bytes data = make_pattern(kSgBytes, 0x67);
+  ASSERT_TRUE(dram.write(*buf, data).is_ok());
+
+  ASSERT_TRUE(seg->copy_in(0, dram, *buf, kSgBytes).is_ok());
+  ASSERT_TRUE(seg->copy_out(0, dram, *buf + kSgBytes, kSgBytes).is_ok());
+  Bytes back(kSgBytes);
+  ASSERT_TRUE(dram.read(*buf + kSgBytes, back).is_ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(seg->copy_in(4096, dram, *buf, kSgBytes).code(), Errc::out_of_range);
+  EXPECT_EQ(seg->copy_out(1, dram, *buf, kSgBytes).code(), Errc::out_of_range);
+
+  seg->release();
+  EXPECT_EQ(seg->copy_in(0, dram, *buf, 4096).code(), Errc::unavailable);
+  EXPECT_EQ(seg->copy_out(0, dram, *buf, 4096).code(), Errc::unavailable);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, SubstrateTest,
                          ::testing::Values(fabric::SubstrateKind::ntb,
                                            fabric::SubstrateKind::cxl),
