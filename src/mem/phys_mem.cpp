@@ -54,6 +54,24 @@ Status PhysMem::append_to(Bytes& out, std::uint64_t addr, std::uint64_t len) con
   });
 }
 
+Status PhysMem::discard(std::uint64_t addr, std::uint64_t len) {
+  NVS_RETURN_IF_ERROR(check_range(addr, len, "phys discard past end of DRAM"));
+  for_each_page(addr, len, [&](std::uint64_t, std::uint64_t page_index, std::uint64_t off,
+                               std::uint64_t n) {
+    const std::uint64_t leaf = page_index / kLeafPages;
+    if (leaf >= leaves_.size() || !leaves_[leaf]) return;
+    auto& slot = (*leaves_[leaf])[page_index % kLeafPages];
+    if (!slot) return;
+    if (n == kPageSize) {
+      slot.reset();
+      --resident_;
+    } else {
+      std::memset(slot->data() + off, 0, n);
+    }
+  });
+  return Status::ok();
+}
+
 Status PhysMem::copy_from(std::uint64_t addr, const PhysMem& src, std::uint64_t src_addr,
                           std::uint64_t len) {
   NVS_RETURN_IF_ERROR(src.check_range(src_addr, len, "phys read past end of DRAM"));

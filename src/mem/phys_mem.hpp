@@ -1,9 +1,10 @@
-// Sparse simulated physical memory (DRAM) for one host.
+// Sparse simulated physical memory: the DRAM of one host, and the backing
+// store of an NVMe namespace (nvme::BlockStore).
 //
-// Pages materialize on first write; reads of untouched memory return zeroes,
-// like freshly-allocated RAM. All DMA in the simulator ultimately lands
-// here, so data-integrity tests observe exactly what a device would have
-// written over the fabric.
+// Pages materialize on first write and discard() turns them back into
+// holes; reads of untouched memory return zeroes, like freshly-allocated
+// RAM. All DMA in the simulator ultimately lands here, so data-integrity
+// tests observe exactly what a device would have written over the fabric.
 //
 // Pages are found through a two-level table: a directory of leaves, each
 // mapping 512 pages (2 MiB). Leaves are allocated on the first write into
@@ -40,13 +41,10 @@ class PhysMem {
   template <typename F>
   Status visit(std::uint64_t addr, std::uint64_t len, F&& f) const {
     NVS_RETURN_IF_ERROR(check_range(addr, len, "phys read past end of DRAM"));
-    for (std::uint64_t done = 0; done < len;) {
-      const std::uint64_t cur = addr + done;
-      const std::uint64_t off = cur % kPageSize;
-      const std::uint64_t n = std::min(len - done, kPageSize - off);
-      f(done, ConstByteSpan(page_or_zero(cur / kPageSize) + off, n));
-      done += n;
-    }
+    for_each_page(addr, len, [&](std::uint64_t done, std::uint64_t page, std::uint64_t off,
+                                 std::uint64_t n) {
+      f(done, ConstByteSpan(page_or_zero(page) + off, n));
+    });
     return Status::ok();
   }
 
@@ -56,13 +54,10 @@ class PhysMem {
   template <typename F>
   Status visit_mut(std::uint64_t addr, std::uint64_t len, F&& f) {
     NVS_RETURN_IF_ERROR(check_range(addr, len, "phys write past end of DRAM"));
-    for (std::uint64_t done = 0; done < len;) {
-      const std::uint64_t cur = addr + done;
-      const std::uint64_t off = cur % kPageSize;
-      const std::uint64_t n = std::min(len - done, kPageSize - off);
-      f(done, ByteSpan(materialize(cur / kPageSize, n == kPageSize) + off, n));
-      done += n;
-    }
+    for_each_page(addr, len, [&](std::uint64_t done, std::uint64_t page, std::uint64_t off,
+                                 std::uint64_t n) {
+      f(done, ByteSpan(materialize(page, n == kPageSize) + off, n));
+    });
     return Status::ok();
   }
 
@@ -74,6 +69,11 @@ class PhysMem {
 
   /// Append `len` bytes starting at `addr` to `out`.
   Status append_to(Bytes& out, std::uint64_t addr, std::uint64_t len) const;
+
+  /// Zero [addr, addr+len): pages it covers whole become holes again
+  /// (their memory is released), and the covered part of a partial page is
+  /// cleared. Holes stay holes.
+  Status discard(std::uint64_t addr, std::uint64_t len);
 
   /// Copy `len` bytes from `src` at `src_addr` to `addr`, page to page.
   /// Both ranges are checked before anything is written; source holes
@@ -104,6 +104,18 @@ class PhysMem {
 
   [[nodiscard]] Status check_range(std::uint64_t addr, std::uint64_t len,
                                    const char* what) const;
+  /// Call `f(done, page_index, offset_in_page, n)` for each page-bounded
+  /// piece of [addr, addr+len). The caller has checked the range.
+  template <typename F>
+  static void for_each_page(std::uint64_t addr, std::uint64_t len, F&& f) {
+    for (std::uint64_t done = 0; done < len;) {
+      const std::uint64_t cur = addr + done;
+      const std::uint64_t off = cur % kPageSize;
+      const std::uint64_t n = std::min(len - done, kPageSize - off);
+      f(done, cur / kPageSize, off, n);
+      done += n;
+    }
+  }
   /// The page's bytes, or a shared zero page for a hole.
   [[nodiscard]] const std::byte* page_or_zero(std::uint64_t page_index) const;
   /// The page's bytes, allocating it if it is a hole. A fresh page is

@@ -1,7 +1,8 @@
-// Sparse backing store for one NVMe namespace. Chunked so that a mostly
-// empty multi-hundred-GB namespace costs memory proportional to the data
-// actually written; unwritten blocks read as zeroes (matching a freshly
-// formatted SSD with deallocated blocks).
+// Sparse backing store for one NVMe namespace. The bytes live in a
+// mem::PhysMem (block 0 at address 0), so a mostly empty multi-hundred-GB
+// namespace costs memory proportional to the 4 KiB pages actually written;
+// unwritten blocks read as zeroes (matching a freshly formatted SSD with
+// deallocated blocks).
 //
 // Formatted with protection information, the store additionally keeps one
 // 8-byte DIF tuple per written block ("extended metadata", held out-of-band
@@ -16,6 +17,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "integrity/integrity.hpp"
+#include "mem/phys_mem.hpp"
 
 namespace nvmeshare::nvme {
 
@@ -26,8 +28,8 @@ class BlockStore {
   [[nodiscard]] std::uint64_t capacity_blocks() const noexcept { return capacity_blocks_; }
   [[nodiscard]] std::uint32_t block_size() const noexcept { return block_size_; }
 
-  /// Read `nblocks` starting at `slba` into a new buffer, built chunk by
-  /// chunk (nothing is zero-filled first).
+  /// Read `nblocks` starting at `slba` into a new buffer, built page by
+  /// page (nothing is zero-filled first).
   [[nodiscard]] Result<Bytes> read(std::uint64_t slba, std::uint32_t nblocks) const;
   /// Write `nblocks` starting at `slba`.
   Status write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpan in);
@@ -53,22 +55,19 @@ class BlockStore {
   /// blocks are skipped.
   Result<std::uint64_t> verify_stored_pi(std::uint64_t slba, std::uint32_t nblocks) const;
 
-  [[nodiscard]] std::size_t resident_chunks() const noexcept { return chunks_.size(); }
+  /// Resident 4 KiB pages of backing memory (for tests / footprint).
+  [[nodiscard]] std::size_t resident_chunks() const noexcept { return data_.resident_pages(); }
 
  private:
-  static constexpr std::uint64_t kChunkBytes = 32 * 1024;
-
   [[nodiscard]] Status check_range(std::uint64_t slba, std::uint32_t nblocks) const;
-  /// Call `f(done, chunk_idx, off, n)` for each chunk-bounded piece of the
-  /// byte range of [slba, slba + nblocks); `done` is the piece's offset
-  /// into the range. The caller has checked the range.
-  template <typename F>
-  void for_each_piece(std::uint64_t slba, std::uint32_t nblocks, F&& f) const;
+  [[nodiscard]] std::uint64_t byte_of(std::uint64_t lba) const noexcept {
+    return lba * block_size_;
+  }
 
   std::uint64_t capacity_blocks_;
   std::uint32_t block_size_;
   bool pi_enabled_ = false;
-  std::unordered_map<std::uint64_t, Bytes> chunks_;  // chunk index -> kChunkBytes
+  mem::PhysMem data_;
   std::unordered_map<std::uint64_t, integrity::ProtectionInfo> pi_;  // lba -> tuple
 };
 

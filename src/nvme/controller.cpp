@@ -504,33 +504,36 @@ sim::Task Controller::complete(std::uint16_t sqid, std::uint16_t sq_head_after,
   cq.tail = static_cast<std::uint16_t>((cq.tail + 1) % cq.size);
   if (cq.tail == 0) cq.phase = !cq.phase;
 
-  Result<sim::Time> arrival = Status(Errc::internal, "unattempted");
+  sim::Time arrival = 0;
   for (;;) {
-    arrival = fabric()->post_write(
+    Result<sim::Time> posted = fabric()->post_write(
         dma_initiator(), cq.base + static_cast<std::uint64_t>(slot) * sizeof(CompletionEntry),
         as_bytes_of(e), not_before);
-    if (arrival) break;
+    if (posted) {
+      arrival = *posted;
+      break;
+    }
     // Per-queue isolation, mirroring the SQ-fetch path: retry transient
     // unreachability (link down) until the CQ heals or is deleted; permanent
     // routing failures and admin-queue failures stay fatal.
-    if (sqid != 0 && arrival.status().code() == Errc::unavailable) {
+    if (sqid != 0 && posted.status().code() == Errc::unavailable) {
       NVS_LOG(warn, "nvme") << "CQE post failed (q" << cqid
-                            << "): " << arrival.status().to_string() << " -> retry";
+                            << "): " << posted.status().to_string() << " -> retry";
       co_await sim::delay(engine_, cfg_.service.queue_retry_ns);
       if (gen != generation_ || !cq.valid) co_return;
       continue;
     }
     NVS_LOG(error, "nvme") << "CQE post failed (q" << cqid
-                           << "): " << arrival.status().to_string();
+                           << "): " << posted.status().to_string();
     disable_controller(/*fatal=*/true);
     co_return;
   }
-  if (sqid != 0) trace_io_span(sqid, cid, obs::Phase::cq_write, engine_.now(), *arrival);
+  if (sqid != 0) trace_io_span(sqid, cid, obs::Phase::cq_write, engine_.now(), arrival);
   if (cq.irq_enabled && cq.irq_vector < msix_.size() && !msix_[cq.irq_vector].masked &&
       msix_[cq.irq_vector].addr != 0) {
     // The interrupt message is a posted write ordered behind the CQE.
     (void)fabric()->post_write(dma_initiator(), msix_[cq.irq_vector].addr,
-                               as_bytes_of(msix_[cq.irq_vector].data), *arrival);
+                               as_bytes_of(msix_[cq.irq_vector].data), arrival);
   }
 }
 

@@ -368,10 +368,24 @@ void Fabric::recycle_payload(Bytes&& b) {
 sim::Time Fabric::posted_arrival(const Initiator& who, ChipId target_chip,
                                  sim::Duration latency, sim::Duration gap,
                                  sim::Time not_before) {
-  sim::Time& floor = posted_floor_[{who.chip, target_chip}];
+  sim::Time& floor = posted_floor(who.chip, target_chip);
   const sim::Time arrival = std::max({engine_.now() + latency, floor + gap, not_before});
   floor = arrival;
   return arrival;
+}
+
+sim::Time& Fabric::posted_floor(ChipId initiator, ChipId target) {
+  const std::size_t n = topo_.chip_count();
+  if (n > floor_chips_) {
+    std::vector<sim::Time> grown(n * n, sim::Time{0});
+    for (std::size_t i = 0; i < floor_chips_; ++i) {
+      std::copy_n(posted_floor_.begin() + static_cast<std::ptrdiff_t>(i * floor_chips_),
+                  floor_chips_, grown.begin() + static_cast<std::ptrdiff_t>(i * n));
+    }
+    posted_floor_ = std::move(grown);
+    floor_chips_ = n;
+  }
+  return posted_floor_[initiator * floor_chips_ + target];
 }
 
 Result<sim::Time> Fabric::post_write(const Initiator& who, std::uint64_t addr,
@@ -498,7 +512,7 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
     arrival = std::max(arrival, posted_arrival(who, chip, lat, ser + tlp, not_before));
   }
   for (ChipId chip : chips) {
-    posted_floor_[{who.chip, chip}] = arrival;
+    posted_floor(who.chip, chip) = arrival;
   }
   if (fault_drop) return arrival;
   if (corrupt.flip) {

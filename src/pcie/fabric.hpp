@@ -253,6 +253,9 @@ class Fabric final : public fabric::Substrate {
   /// once by the caller and shared with the latency calculation.
   sim::Time posted_arrival(const Initiator& who, ChipId target_chip, sim::Duration latency,
                            sim::Duration gap, sim::Time not_before);
+  /// Arrival floor of the last posted write from `initiator` to `target`.
+  /// The table grows with the topology and keeps the floors it holds.
+  sim::Time& posted_floor(ChipId initiator, ChipId target);
 
   /// Recycled payload buffers for in-flight posted writes: the hot path
   /// copies the caller's span into a pooled buffer instead of allocating a
@@ -265,7 +268,8 @@ class Fabric final : public fabric::Substrate {
   std::vector<std::unique_ptr<HostState>> hosts_;
   std::vector<NtbState> ntbs_;
   std::vector<EndpointState> endpoints_;
-  std::map<std::pair<ChipId, ChipId>, sim::Time> posted_floor_;
+  std::vector<sim::Time> posted_floor_;  ///< [initiator * floor_chips_ + target]
+  std::size_t floor_chips_ = 0;
   std::vector<Bytes> payload_pool_;
   std::map<std::uint64_t, MapRec> windows_;
   std::uint64_t next_window_token_ = 1;

@@ -1,7 +1,6 @@
 #include "pcie/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace nvmeshare::pcie {
 
@@ -50,20 +49,19 @@ bool Topology::link_up(ChipId a, ChipId b) const {
 void Topology::ensure_cache() const {
   if (cache_valid_) return;
   const std::size_t n = chips_.size();
-  pred_.assign(n, std::vector<ChipId>(n, kNoChip));
+  cost_.assign(n * n, PathCost{});
+  std::vector<ChipId> queue;
+  queue.reserve(n);
   for (ChipId src = 0; src < n; ++src) {
-    std::deque<ChipId> q{src};
-    std::vector<bool> seen(n, false);
-    seen[src] = true;
-    pred_[src][src] = src;
-    while (!q.empty()) {
-      ChipId cur = q.front();
-      q.pop_front();
+    PathCost* row = cost_.data() + src * n;
+    row[src] = PathCost{chips_[src].forward_ns, 1, true};
+    queue.assign(1, src);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const ChipId cur = queue[head];
       for (ChipId nxt : adj_[cur]) {
-        if (!seen[nxt] && link_up(cur, nxt)) {
-          seen[nxt] = true;
-          pred_[src][nxt] = cur;
-          q.push_back(nxt);
+        if (!row[nxt].reachable && link_up(cur, nxt)) {
+          row[nxt] = PathCost{row[cur].cost_ns + chips_[nxt].forward_ns, row[cur].hops + 1, true};
+          queue.push_back(nxt);
         }
       }
     }
@@ -71,27 +69,11 @@ void Topology::ensure_cache() const {
   cache_valid_ = true;
 }
 
-std::vector<ChipId> Topology::path(ChipId a, ChipId b) const {
-  ensure_cache();
-  std::vector<ChipId> out;
-  if (a >= chips_.size() || b >= chips_.size()) return out;
-  if (pred_[a][b] == kNoChip) return out;  // unreachable
-  for (ChipId cur = b;; cur = pred_[a][cur]) {
-    out.push_back(cur);
-    if (cur == a) break;
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 Topology::PathCost Topology::path_cost(ChipId a, ChipId b) const {
-  PathCost pc;
-  const auto chain = path(a, b);
-  if (chain.empty()) return pc;
-  pc.reachable = true;
-  pc.hops = static_cast<int>(chain.size());
-  for (ChipId id : chain) pc.cost_ns += chips_[id].forward_ns;
-  return pc;
+  ensure_cache();
+  const std::size_t n = chips_.size();
+  if (a >= n || b >= n) return PathCost{};
+  return cost_[a * n + b];
 }
 
 }  // namespace nvmeshare::pcie

@@ -1,6 +1,8 @@
 // Fabric graph: chips and links. Computes, per pair of chips, the one-way
 // traversal cost (sum of per-chip forwarding latencies along the shortest
-// path) used by the transaction latency model.
+// path) used by the transaction latency model. The costs are one table,
+// filled by a BFS from every chip whenever the graph has changed, so a
+// transaction's path cost is a lookup.
 #pragma once
 
 #include <cstdint>
@@ -48,12 +50,9 @@ class Topology {
 
   /// One-way traversal cost from chip `a` to chip `b` (shortest path by
   /// chip count; every chip on the path, inclusive of both ends,
-  /// contributes its forward latency once). Cached after first query;
-  /// mutating the topology invalidates the cache.
+  /// contributes its forward latency once). Unknown chips are unreachable.
+  /// The table is rebuilt on the first query after the topology changed.
   [[nodiscard]] PathCost path_cost(ChipId a, ChipId b) const;
-
-  /// Chips on the shortest path a..b inclusive (for diagnostics/tests).
-  [[nodiscard]] std::vector<ChipId> path(ChipId a, ChipId b) const;
 
  private:
   void ensure_cache() const;
@@ -61,8 +60,8 @@ class Topology {
   std::vector<Chip> chips_;
   std::vector<std::vector<ChipId>> adj_;
   std::set<std::pair<ChipId, ChipId>> down_links_;  // normalized (min,max)
-  // cache_[a][b] = predecessor-of-b on shortest path from a (BFS forest).
-  mutable std::vector<std::vector<ChipId>> pred_;
+  // cost_[a * chip_count() + b] = path_cost(a, b), along the BFS tree of a.
+  mutable std::vector<PathCost> cost_;
   mutable bool cache_valid_ = false;
 };
 

@@ -1,6 +1,8 @@
 // Unit tests for the memory substrate: sparse DRAM, range allocator, IOMMU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
 #include "mem/allocator.hpp"
 #include "mem/iommu.hpp"
@@ -168,6 +170,43 @@ TEST(PhysMemPageTable, CopyOutOfRangeLeavesDestinationUntouched) {
   ASSERT_TRUE(dst.read(0, after).is_ok());
   EXPECT_EQ(after, before);
   EXPECT_EQ(dst.resident_pages(), 2u);
+}
+
+TEST(PhysMemDiscard, WholePageBecomesAHoleAgain) {
+  PhysMem m(8 * MiB);
+  ASSERT_TRUE(m.write(0, make_pattern(3 * PhysMem::kPageSize, 30)).is_ok());
+  ASSERT_EQ(m.resident_pages(), 3u);
+  ASSERT_TRUE(m.discard(PhysMem::kPageSize, PhysMem::kPageSize).is_ok());
+  EXPECT_EQ(m.resident_pages(), 2u);
+  Bytes middle(PhysMem::kPageSize, std::byte{0xFF});
+  ASSERT_TRUE(m.read(PhysMem::kPageSize, middle).is_ok());
+  EXPECT_TRUE(is_zero(middle));
+  // Discarding holes, inside and beyond the directory, changes nothing.
+  ASSERT_TRUE(m.discard(PhysMem::kPageSize, PhysMem::kPageSize).is_ok());
+  ASSERT_TRUE(m.discard(3 * kLeafBytes, kLeafBytes).is_ok());
+  EXPECT_EQ(m.resident_pages(), 2u);
+}
+
+TEST(PhysMemDiscard, PartialPageZeroesOnlyItsRange) {
+  PhysMem m(8 * MiB);
+  const Bytes data = make_pattern(2 * PhysMem::kPageSize, 31);
+  ASSERT_TRUE(m.write(0, data).is_ok());
+  // The tail of page 0 and the head of page 1: neither page is covered whole.
+  ASSERT_TRUE(m.discard(PhysMem::kPageSize - 100, 300).is_ok());
+  EXPECT_EQ(m.resident_pages(), 2u);
+  Bytes got(data.size());
+  ASSERT_TRUE(m.read(0, got).is_ok());
+  Bytes want = data;
+  std::fill_n(want.begin() + PhysMem::kPageSize - 100, 300, std::byte{0});
+  EXPECT_EQ(got, want);
+}
+
+TEST(PhysMemDiscard, OutOfRangeDiscardsNothing) {
+  PhysMem m(1 * MiB);
+  ASSERT_TRUE(m.write(1 * MiB - PhysMem::kPageSize, Bytes(PhysMem::kPageSize)).is_ok());
+  EXPECT_EQ(m.discard(1 * MiB - PhysMem::kPageSize, 2 * PhysMem::kPageSize).code(),
+            Errc::out_of_range);
+  EXPECT_EQ(m.resident_pages(), 1u);
 }
 
 TEST(RangeAllocator, AllocatesAligned) {

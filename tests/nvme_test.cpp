@@ -3,6 +3,8 @@
 // error reporting, and doorbell robustness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "driver/bringup.hpp"
 #include "nvme/block_store.hpp"
 #include "nvme/queue.hpp"
@@ -115,6 +117,47 @@ TEST(BlockStore, CapacityEdgeAndOverflow) {
   EXPECT_EQ(store.read(~0ull - 3, 8).error_code(), Errc::out_of_range);
   EXPECT_EQ(store.write(~0ull - 3, 8, eight).code(), Errc::out_of_range);
   EXPECT_EQ(store.write_zeroes(~0ull - 3, 8).code(), Errc::out_of_range);
+}
+
+TEST(BlockStore, SmallWriteIntoHoleReadsZeroesAround) {
+  BlockStore store(100'000, 512);
+  const Bytes block = make_pattern(512, 40);
+  ASSERT_TRUE(store.write(3, 1, block).is_ok());
+  EXPECT_EQ(store.resident_chunks(), 1u);
+  auto page = store.read(0, 8);  // the whole 4 KiB page around the block
+  ASSERT_TRUE(page.has_value());
+  Bytes want(8 * 512);
+  std::copy(block.begin(), block.end(), want.begin() + 3 * 512);
+  EXPECT_EQ(*page, want);
+}
+
+TEST(BlockStore, ReadAcrossHoleAndPageBoundary) {
+  BlockStore store(100'000, 512);
+  const Bytes data = make_pattern(8 * 512, 41);
+  ASSERT_TRUE(store.write(0, 8, data).is_ok());  // page 0; page 1 stays a hole
+  auto out = store.read(4, 8);
+  ASSERT_TRUE(out.has_value());
+  Bytes want(8 * 512);
+  std::copy(data.begin() + 4 * 512, data.end(), want.begin());
+  EXPECT_EQ(*out, want);
+  EXPECT_EQ(store.resident_chunks(), 1u);
+}
+
+TEST(BlockStore, WriteZeroesReleasesWholePagesOnly) {
+  BlockStore store(100'000, 512);
+  const Bytes data = make_pattern(16 * 512, 42);
+  ASSERT_TRUE(store.write(0, 16, data).is_ok());
+  ASSERT_EQ(store.resident_chunks(), 2u);
+  ASSERT_TRUE(store.write_zeroes(8, 8).is_ok());  // page 1 whole
+  EXPECT_EQ(store.resident_chunks(), 1u);
+  ASSERT_TRUE(store.write_zeroes(1, 1).is_ok());  // part of page 0
+  EXPECT_EQ(store.resident_chunks(), 1u);
+  auto out = store.read(0, 16);
+  ASSERT_TRUE(out.has_value());
+  Bytes want(16 * 512);
+  std::copy_n(data.begin(), 512, want.begin());
+  std::copy_n(data.begin() + 2 * 512, 6 * 512, want.begin() + 2 * 512);
+  EXPECT_EQ(*out, want);
 }
 
 // --- controller fixture --------------------------------------------------------

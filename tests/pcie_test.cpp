@@ -2,6 +2,12 @@
 // translation, transaction timing and ordering.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "pcie/fabric.hpp"
 #include "sim/task.hpp"
 
@@ -96,6 +102,89 @@ TEST(Topology, DuplicateLinkRejected) {
   ASSERT_TRUE(topo.link(a, b).is_ok());
   EXPECT_EQ(topo.link(a, b).code(), Errc::already_exists);
   EXPECT_EQ(topo.link(a, a).code(), Errc::invalid_argument);
+}
+
+// Reference for the route-cost table: a BFS from `a` that records each
+// chip's predecessor, then a walk back from `b` that sums forward_ns. It
+// visits neighbours in the topology's order, so ties between equally short
+// paths break the same way as in the table.
+Topology::PathCost reference_path_cost(const Topology& topo, ChipId a, ChipId b) {
+  std::vector<ChipId> pred(topo.chip_count(), kNoChip);
+  std::deque<ChipId> q{a};
+  pred[a] = a;
+  while (!q.empty()) {
+    const ChipId cur = q.front();
+    q.pop_front();
+    for (ChipId nxt : topo.neighbors(cur)) {
+      if (pred[nxt] == kNoChip && topo.link_up(cur, nxt)) {
+        pred[nxt] = cur;
+        q.push_back(nxt);
+      }
+    }
+  }
+  Topology::PathCost pc;
+  if (pred[b] == kNoChip) return pc;
+  pc.reachable = true;
+  for (ChipId cur = b;; cur = pred[cur]) {
+    pc.cost_ns += topo.chip(cur).forward_ns;
+    ++pc.hops;
+    if (cur == a) break;
+  }
+  return pc;
+}
+
+TEST(TopologyProperty, CostTableMatchesReferenceBfsAcrossLinkFlips) {
+  Rng rng(15);
+  std::uint64_t reachable_pairs = 0;
+  std::uint64_t unreachable_pairs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Topology topo;
+    const auto n = static_cast<ChipId>(2 + rng.uniform(14));
+    for (ChipId i = 0; i < n; ++i) {
+      (void)topo.add_chip(std::to_string(i), ChipKind::switch_chip, 0,
+                          static_cast<sim::Duration>(10 + rng.uniform(200)));
+    }
+    std::vector<std::pair<ChipId, ChipId>> links;
+    for (std::uint64_t e = rng.uniform(2 * n); e > 0; --e) {
+      const auto a = static_cast<ChipId>(rng.uniform(n));
+      const auto b = static_cast<ChipId>(rng.uniform(n));
+      if (topo.link(a, b).is_ok()) links.emplace_back(a, b);
+    }
+    auto snapshot = [&] {
+      std::vector<Topology::PathCost> table;
+      for (ChipId a = 0; a < n; ++a) {
+        for (ChipId b = 0; b < n; ++b) {
+          const Topology::PathCost got = topo.path_cost(a, b);
+          const Topology::PathCost want = reference_path_cost(topo, a, b);
+          EXPECT_EQ(got.reachable, want.reachable) << "trial " << trial << " " << a << "->" << b;
+          EXPECT_EQ(got.hops, want.hops) << "trial " << trial << " " << a << "->" << b;
+          EXPECT_EQ(got.cost_ns, want.cost_ns) << "trial " << trial << " " << a << "->" << b;
+          ++(want.reachable ? reachable_pairs : unreachable_pairs);
+          table.push_back(got);
+        }
+      }
+      EXPECT_FALSE(topo.path_cost(n, 0).reachable);
+      EXPECT_FALSE(topo.path_cost(0, n).reachable);
+      return table;
+    };
+    const auto built = snapshot();
+    for (int flip = 0; flip < 8 && !links.empty(); ++flip) {
+      const auto& [a, b] = links[rng.uniform(links.size())];
+      ASSERT_TRUE(topo.set_link_state(a, b, rng.chance(0.3)).is_ok());
+      (void)snapshot();
+    }
+    for (const auto& [a, b] : links) ASSERT_TRUE(topo.set_link_state(a, b, true).is_ok());
+    const auto restored = snapshot();
+    for (std::size_t i = 0; i < built.size(); ++i) {
+      EXPECT_EQ(restored[i].reachable, built[i].reachable) << "trial " << trial << " pair " << i;
+      EXPECT_EQ(restored[i].hops, built[i].hops) << "trial " << trial << " pair " << i;
+      EXPECT_EQ(restored[i].cost_ns, built[i].cost_ns) << "trial " << trial << " pair " << i;
+    }
+  }
+  // The generator must reach both kinds of pair for the comparison to mean
+  // anything.
+  EXPECT_GT(reachable_pairs, 1000u);
+  EXPECT_GT(unreachable_pairs, 1000u);
 }
 
 TEST(LatencyModel, PostedVsNonPosted) {
@@ -244,6 +333,27 @@ TEST(Fabric, NotBeforeOrdersDataBeforeCompletion) {
   auto t_small = f.fabric.post_write(f.fabric.cpu(f.h0), 0x90000, small, *t_big);
   ASSERT_TRUE(t_small.has_value());
   EXPECT_GE(*t_small, *t_big);
+}
+
+TEST(Fabric, PostedFloorsSurviveTopologyGrowth) {
+  TwoHostFixture f;
+  // h1's CPU writes into h0's DRAM through h1's NTB: a pair of chips away
+  // from the start of the floor table, so a table that lost its layout
+  // when it grew would read another pair's floor.
+  ASSERT_TRUE(f.fabric.ntb_program(f.ntb1, 0, f.h0, 0).is_ok());
+  auto window = f.fabric.ntb_window_address(f.ntb1, 0);
+  ASSERT_TRUE(window.has_value());
+  auto t_big = f.fabric.post_write(f.fabric.cpu(f.h1), *window, Bytes(64 * KiB));
+  ASSERT_TRUE(t_big.has_value());
+  const std::size_t chips_before = f.fabric.topology().chip_count();
+  (void)f.fabric.add_host("h2", 64 * MiB);
+  (void)f.fabric.add_cluster_switch("cs2");
+  ASSERT_GT(f.fabric.topology().chip_count(), chips_before);
+  // Same initiator, same completer: the small write may not pass the big
+  // one, although alone it would land far sooner.
+  auto t_small = f.fabric.post_write(f.fabric.cpu(f.h1), *window + 0x20000, Bytes(8));
+  ASSERT_TRUE(t_small.has_value());
+  EXPECT_GT(*t_small, *t_big);
 }
 
 TEST(Fabric, ScatterGatherRoundTrip) {
