@@ -17,6 +17,8 @@
 #include <string>
 
 #include "fault/fault.hpp"
+#include "nvmeof/initiator.hpp"
+#include "nvmeof/target.hpp"
 #include "obs/metrics.hpp"
 #include "test_util.hpp"
 
@@ -308,6 +310,75 @@ GridPin stop_while_asleep(bool crash) {
   return pin;
 }
 
+/// The NVMe-oF baseline's target polls its NVMe CQ on the same grid: QD1
+/// then QD32 random reads and writes, target on host 0, initiator on 1.
+GridPin nvmeof_steady(std::uint32_t qd) {
+  GridPin pin;
+  Testbed tb(pin_testbed(fabric::SubstrateKind::ntb));
+  auto target =
+      tb.wait(nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), {}));
+  EXPECT_TRUE(target.has_value()) << target.status().to_string();
+  if (!target) return pin;
+  auto initiator =
+      tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), **target, 1, {}));
+  EXPECT_TRUE(initiator.has_value()) << initiator.status().to_string();
+  if (!initiator) return pin;
+  for (const auto pattern : {workload::JobSpec::Pattern::randread,
+                             workload::JobSpec::Pattern::randwrite}) {
+    add_job(pin, workload::run_job_blocking(tb.cluster(), **initiator, 1,
+                                            pin_job(pattern, qd, qd * 16)));
+  }
+  finish(pin, tb);
+  return pin;
+}
+
+/// The polled local driver (use_interrupts = false): QD1 then QD32 random
+/// reads and writes on the device's own host.
+GridPin polled_local(std::uint32_t qd) {
+  GridPin pin;
+  Testbed tb(pin_testbed(fabric::SubstrateKind::ntb, 1));
+  driver::LocalDriver::Config cfg;
+  cfg.use_interrupts = false;
+  auto drv = tb.wait(driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(), nullptr, cfg));
+  EXPECT_TRUE(drv.has_value()) << drv.status().to_string();
+  if (!drv) return pin;
+  for (const auto pattern : {workload::JobSpec::Pattern::randread,
+                             workload::JobSpec::Pattern::randwrite}) {
+    add_job(pin, workload::run_job_blocking(tb.cluster(), **drv, 0,
+                                            pin_job(pattern, qd, qd * 16)));
+  }
+  finish(pin, tb);
+  return pin;
+}
+
+/// QD1 reads through the NVMe-oF target, which is destroyed at an instant
+/// its CQ poller sleeps through: the read in flight is at the device. Its
+/// completion never reaches the initiator, so the clock is stopped 1 ms on.
+GridPin target_destroyed_while_asleep() {
+  GridPin pin;
+  Testbed tb(pin_testbed(fabric::SubstrateKind::ntb));
+  auto target =
+      tb.wait(nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), {}));
+  EXPECT_TRUE(target.has_value()) << target.status().to_string();
+  if (!target) return pin;
+  auto initiator =
+      tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), **target, 1, {}));
+  EXPECT_TRUE(initiator.has_value()) << initiator.status().to_string();
+  if (!initiator) return pin;
+  add_job(pin, workload::run_job_blocking(tb.cluster(), **initiator, 1,
+                                          pin_job(workload::JobSpec::Pattern::randread, 1, 16)));
+  const sim::Time when = tb.engine().now() + 50'001;
+  std::unique_ptr<nvmeof::Target>& owner = *target;
+  tb.engine().at(when, [&owner]() { owner.reset(); });
+  auto job = workload::run_job(tb.cluster(), **initiator, 1,
+                               pin_job(workload::JobSpec::Pattern::randread, 1, 64));
+  tb.engine().run_until(when + 1'000'000);
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_FALSE(job.ready());
+  finish(pin, tb);
+  return pin;
+}
+
 struct GridScenario {
   const char* name;
   std::function<GridPin()> run;
@@ -338,6 +409,18 @@ TEST(FabricPin, SkippedPollRoundsMatchSpinningPollers) {
        {3000000, 46023, 64, 61, 0x83de76fea90fdb62ULL}},
       {"client-detach", [] { return stop_while_asleep(false); },
        {3000000, 60958, 64, 60, 0xa90727c46a159919ULL}},
+      // Captured from the spinning NVMe-oF target and polled local driver
+      // (the commit before they moved onto nvme::CqServicer).
+      {"nvmeof-qd1", [] { return nvmeof_steady(1); },
+       {22000000, 668198, 32, 0, 0x3913730cf9805b7fULL}},
+      {"nvmeof-qd32", [] { return nvmeof_steady(32); },
+       {22000000, 38370878, 1024, 0, 0x0375bc60e63319adULL}},
+      {"polled-local-qd1", [] { return polled_local(1); },
+       {21000000, 371393, 32, 0, 0xc1b84f6ae40a66f0ULL}},
+      {"polled-local-qd32", [] { return polled_local(32); },
+       {21000000, 37781824, 1024, 0, 0xbfd5e217e8a5b987ULL}},
+      {"target-destroyed", target_destroyed_while_asleep,
+       {13050001, 325479, 16, 0, 0x953fecdea2a048daULL}},
   };
   const bool capture = std::getenv("NVS_PIN_CAPTURE") != nullptr;
   for (const GridScenario& sc : scenarios) {
