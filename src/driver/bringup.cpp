@@ -1,5 +1,7 @@
 #include "driver/bringup.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace nvmeshare::driver {
@@ -176,37 +178,40 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
 
 sim::Future<Result<CompletionEntry>> BareController::submit_admin(SubmissionEntry entry) {
   sim::Promise<Result<CompletionEntry>> promise(cluster_.engine());
-  admin_task(entry, promise);
+  admin_command(cluster_.engine(), cfg_.costs, admin_qp_, admin_lock_, entry, {}, promise);
   return promise.future();
 }
 
-sim::Task BareController::admin_task(SubmissionEntry entry,
-                                     sim::Promise<Result<CompletionEntry>> promise) {
-  sim::Engine& engine = cluster_.engine();
-  co_await admin_lock_->acquire();
-  auto cid = admin_qp_->push(entry);
+sim::Task admin_command(sim::Engine& engine, const CostModel& costs,
+                        std::unique_ptr<nvme::QueuePair>& qp, std::unique_ptr<sim::Semaphore>& lock,
+                        SubmissionEntry entry, std::function<void()> journal,
+                        sim::Promise<Result<CompletionEntry>> promise) {
+  co_await lock->acquire();
+  auto cid = qp->push(entry);
   if (!cid) {
-    admin_lock_->release();
+    lock->release();
     promise.set(cid.status());
     co_return;
   }
-  co_await sim::delay(engine, cfg_.costs.doorbell_ns);
-  (void)admin_qp_->ring_sq_doorbell();
+  if (journal) journal();
+  co_await sim::delay(engine, costs.doorbell_ns);
+  (void)qp->ring_sq_doorbell();
 
   const sim::Time deadline = engine.now() + kAdminTimeoutNs;
   for (;;) {
-    if (auto cqe = admin_qp_->poll()) {
-      (void)admin_qp_->ring_cq_doorbell();
-      admin_lock_->release();
+    if (auto cqe = qp->poll()) {
+      (void)qp->ring_cq_doorbell();
+      if (journal) journal();
+      lock->release();
       promise.set(*cqe);  // NVMe-level failures are reported via cqe->status()
       co_return;
     }
     if (engine.now() >= deadline) {
-      admin_lock_->release();
+      lock->release();
       promise.set(Status(Errc::timed_out, "admin command timed out"));
       co_return;
     }
-    co_await sim::delay(engine, std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 200));
+    co_await sim::delay(engine, std::max<sim::Duration>(costs.poll_interval_ns, 200));
   }
 }
 

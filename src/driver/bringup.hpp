@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -16,6 +17,17 @@
 #include "sisci/sisci.hpp"
 
 namespace nvmeshare::driver {
+
+/// One admin command, serialized by `lock`: push, `journal` (may be empty),
+/// SQ doorbell, then a CQ poll every max(poll interval, 200 ns) for up to
+/// 50 ms; `journal` runs again after the CQ head doorbell. `qp` is read at
+/// each use: a controller reset replaces it while holding the lock. A plain
+/// delay poll, not a sim::PollGrid: it has a deadline, and only bring-up
+/// and recovery submit admin commands.
+sim::Task admin_command(sim::Engine& engine, const CostModel& costs,
+                        std::unique_ptr<nvme::QueuePair>& qp, std::unique_ptr<sim::Semaphore>& lock,
+                        nvme::SubmissionEntry entry, std::function<void()> journal,
+                        sim::Promise<Result<nvme::CompletionEntry>> promise);
 
 class BareController {
  public:
@@ -73,8 +85,6 @@ class BareController {
 
   static sim::Task init_task(std::unique_ptr<BareController> self,
                              sim::Promise<Result<std::unique_ptr<BareController>>> promise);
-  sim::Task admin_task(nvme::SubmissionEntry entry,
-                       sim::Promise<Result<nvme::CompletionEntry>> promise);
   sim::Task create_qp_task(std::uint64_t sq_addr, std::uint16_t sq_size, std::uint64_t cq_addr,
                            std::uint16_t cq_size, std::optional<std::uint16_t> irq_vector,
                            sim::Promise<Result<std::uint16_t>> promise);

@@ -86,7 +86,6 @@ Client::Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceI
 
 Client::~Client() {
   halt_poller();
-  if (cq_grid_) fabric().unwatch(*cq_grid_);
   if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
 }
 
@@ -126,12 +125,27 @@ std::uint16_t Client::trace_qid(std::uint32_t chan) const { return qids_[chan]; 
 
 void Client::on_armed(std::uint32_t chan) {
   (void)chan;
-  cq_grid_->kick();  // completions are coming: wake the idle poller
+  cq_->kick();  // completions are coming: wake the idle poller
 }
 
 void Client::on_drained() {
-  cq_grid_->changed();  // a sleeping poller's next round would see the idle engine
+  cq_->changed();  // a sleeping poller's next round would see the idle engine
 }
+
+bool Client::cq_idle() { return engine_io_->idle(); }
+
+void Client::cq_entry(std::uint32_t chan, const nvme::CompletionEntry& cqe) {
+  if (!engine_io_->complete(chan, cqe.cid, cqe.status())) {
+    // Expected under fault injection: the command timed out and was
+    // retried, and this is the original submission completing late.
+    NVS_LOG(warn, "client") << name_ << " completion for unknown cid " << cqe.cid;
+  }
+}
+
+// Once a detach has begun the manager may already have deleted the CQ, and
+// a head doorbell on a deleted queue is a fatal controller error. The
+// in-flight commands are too few to fill the ring.
+bool Client::cq_may_ring() { return attached_; }
 
 std::uint64_t Client::sq_stride_bytes() const noexcept {
   const std::uint64_t ring = cfg_.queue_entries * 64ull;
@@ -453,10 +467,9 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   }
   // CQ entries trail their command by far more than one poll interval, so
   // a sleeping poller can always resume a tick before one lands.
-  c.cq_grid_ = std::make_unique<sim::PollGrid>(engine, c.cfg_.costs.poll_interval_ns,
-                                               /*landings_lead=*/true);
-  const sisci::RemoteSegment cq_mem = c.cq_seg_.descriptor();
-  fabric.watch(cq_mem.owner, cq_mem.phys_addr, cq_mem.size, *c.cq_grid_);
+  nvme::CqOwner& cq_owner = c;
+  c.cq_.emplace(fabric, cq_owner, c.qps_, c.cfg_.costs.poll_interval_ns,
+                /*landings_lead=*/true, &c.stats_.poll_rounds);
   // The private-base conversion must happen here, where Client's bases are
   // accessible (make_unique's internals cannot see it).
   block::IoTransport& transport = c;
@@ -467,7 +480,8 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   c.name_ = "nvsh-n" + std::to_string(c.node_) + "-q" + std::to_string(c.qids_[0]);
   if (c.cfg_.channels > 1) c.name_ += "x" + std::to_string(c.cfg_.channels);
   c.attached_ = true;
-  c.poller(c.stop_);
+  const sisci::RemoteSegment cq_mem = c.cq_seg_.descriptor();
+  c.cq_->start(cq_mem.owner, cq_mem.phys_addr, cq_mem.size, c.stop_);
   if (c.cfg_.heartbeat_interval_ns > 0) c.heartbeat_task(c.stop_);
   if (fault::enabled()) {
     Client* raw = self.get();
@@ -1068,48 +1082,9 @@ sim::Task Client::delete_share_task(std::uint32_t tenant, sim::Promise<Status> p
   promise.set(Status::ok());
 }
 
-sim::Task Client::poller(std::shared_ptr<bool> stop) {
-  for (;;) {
-    if (*stop) co_return;
-    if (engine_io_->idle()) {
-      // Nothing in flight: a real polling driver would spin, but the
-      // latency effect is identical if we sleep until the next submission
-      // (the poll cadence only matters while a completion is pending).
-      co_await cq_grid_->idle();
-      continue;
-    }
-    std::array<nvme::CompletionEntry, 32> cqes;
-    for (std::uint32_t chan = 0; chan < cfg_.channels; ++chan) {
-      bool delivered = false;
-      for (;;) {
-        const std::size_t n = qps_[chan]->reap(cqes);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!engine_io_->complete(chan, cqes[i].cid, cqes[i].status())) {
-            // Expected under fault injection: the command timed out and was
-            // retried, and this is the original submission completing late.
-            NVS_LOG(warn, "client") << name_ << " completion for unknown cid " << cqes[i].cid;
-          }
-        }
-        if (n > 0) delivered = true;
-        if (n < cqes.size()) break;
-      }
-      // Once a detach has begun the manager may already have deleted the
-      // CQ, and a head doorbell on a deleted queue is a fatal controller
-      // error. The in-flight commands are too few to fill the ring.
-      if (delivered && attached_) (void)qps_[chan]->ring_cq_doorbell();
-    }
-    ++stats_.poll_rounds;
-    // Rounds that cannot see a new CQE are counted, not run (sim::PollGrid).
-    // An idle engine must be noticed by the very next round.
-    const std::uint64_t skipped = co_await cq_grid_->next(engine_io_->idle());
-    if (*stop) co_return;
-    stats_.poll_rounds += skipped;
-  }
-}
-
 void Client::halt_poller() {
   *stop_ = true;
-  if (cq_grid_) stats_.poll_rounds += cq_grid_->halt();
+  if (cq_) cq_->halt();
 }
 
 // --- fault recovery -------------------------------------------------------------------
@@ -1159,7 +1134,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   const std::uint64_t cq_ring_bytes = cq_stride_bytes();
   (void)cq_seg_.write(chan * cq_ring_bytes, Bytes(cq_ring_bytes, std::byte{0}));
   (void)sq_seg_.write(chan * sq_ring_bytes, Bytes(sq_ring_bytes, std::byte{0}));
-  cq_grid_->changed();  // the zeroed ring is visible to the next round
+  cq_->changed();  // the zeroed ring is visible to the next round
 
   // Same segments, same DMA windows, fresh queue id. Retry with backoff:
   // right after a controller reset the manager may still be re-enabling.
@@ -1192,7 +1167,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   }
   if (created) {
     qps_[chan] = make_queue_pair(chan, qids_[chan]);
-    cq_grid_->changed();  // the next round reaps the fresh pair
+    cq_->changed();  // the next round reaps the fresh pair
     if (cfg_.channels == 1) {
       name_ = "nvsh-n" + std::to_string(node_) + "-q" + std::to_string(qids_[0]);
     }
@@ -1285,7 +1260,7 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
   prp_win_ = smartio::DmaWindow{};
   sq_cpu_map_ = sisci::Map{};
   sq_seg_.release();
-  fabric().unwatch(*cq_grid_);
+  cq_->unwatch();
   cq_seg_.release();
   bounce_seg_.release();
   prp_seg_.release();

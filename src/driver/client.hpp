@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -33,14 +34,16 @@
 #include "driver/mailbox.hpp"
 #include "mem/iommu.hpp"
 #include "mux/mux.hpp"
+#include "nvme/cq_servicer.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
-#include "sim/poll_grid.hpp"
 #include "smartio/smartio.hpp"
 
 namespace nvmeshare::driver {
 
-class Client final : public block::BlockDevice, private block::IoTransport {
+class Client final : public block::BlockDevice,
+                     private block::IoTransport,
+                     private nvme::CqOwner {
  public:
   /// Where the submission queue memory lives (Figure 8 ablation).
   enum class SqPlacement {
@@ -219,7 +222,9 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// The CQ poller's grid (null before attach).
-  [[nodiscard]] const sim::PollGrid* cq_poll_grid() const noexcept { return cq_grid_.get(); }
+  [[nodiscard]] const sim::PollGrid* cq_poll_grid() const noexcept {
+    return cq_ ? &cq_->grid() : nullptr;
+  }
 
  private:
   Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceId device, Config cfg);
@@ -238,7 +243,6 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   sim::Task delete_share_task(std::uint32_t tenant, sim::Promise<Status> promise);
   /// Build the multiplexer on first use, wired to dispatch through io_task.
   mux::QpMultiplexer& ensure_mux();
-  sim::Task poller(std::shared_ptr<bool> stop);
   /// Set the stop flag and settle a sleeping poller's skipped rounds.
   void halt_poller();
   sim::Task detach_task(sim::Promise<Status> promise);
@@ -259,6 +263,11 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
   void on_armed(std::uint32_t chan) override;
   void on_drained() override;
+
+  // --- nvme::CqOwner (the CQ poller) ----------------------------------------
+  bool cq_idle() override;
+  void cq_entry(std::uint32_t chan, const nvme::CompletionEntry& cqe) override;
+  bool cq_may_ring() override;
 
   [[nodiscard]] sim::Engine& engine();
   [[nodiscard]] fabric::Substrate& fabric();
@@ -306,9 +315,6 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   std::unique_ptr<block::IoEngine> engine_io_;
   std::uint32_t max_transfer_ = 0;
 
-  /// The poller's rounds; told about every write into the CQ segment and
-  /// kicked on submit while idle.
-  std::unique_ptr<sim::PollGrid> cq_grid_;
   std::unique_ptr<sim::Semaphore> mailbox_lock_;
   /// Tenant multiplexing state. `own_range_` confines the client's own
   /// traffic once shares exist (empty = full range, the seed path).
@@ -322,6 +328,10 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   Stats stats_;
   obs::Histogram read_latency_hist_{"nvmeshare.client.read_latency_ns"};
   obs::Histogram write_latency_hist_{"nvmeshare.client.write_latency_ns"};
+  /// The CQ poller (empty before attach): told about every write into the
+  /// CQ segment and kicked on submit while idle. Last, so that it halts
+  /// before the counters it settles are gone.
+  std::optional<nvme::CqServicer> cq_;
 };
 
 }  // namespace nvmeshare::driver

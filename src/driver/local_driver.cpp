@@ -1,7 +1,5 @@
 #include "driver/local_driver.hpp"
 
-#include <array>
-
 #include "common/log.hpp"
 
 namespace nvmeshare::driver {
@@ -20,7 +18,7 @@ LocalDriver::LocalDriver(sisci::Cluster& cluster, Config cfg)
 
 LocalDriver::~LocalDriver() {
   *stop_ = true;
-  if (irq_event_) irq_event_->set();  // unblock the completion loop
+  if (irq_event_) irq_event_->set();  // unblock the interrupt loop
   if (irq_ != nullptr && irq_vector_allocated_) irq_->release_vector(irq_vector_);
   if (sq_addr_ != 0 && ctrl_) (void)cluster_.free_dram(ctrl_->host(), sq_addr_);
   if (cq_addr_ != 0 && ctrl_) (void)cluster_.free_dram(ctrl_->host(), cq_addr_);
@@ -179,7 +177,17 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
 
   block::IoTransport& transport = d;
   d.engine_io_ = std::make_unique<block::IoEngine>(engine, transport, d.stop_, ec);
-  d.completion_loop(d.stop_);
+  // A local CQE is issued 154 ns (NTB) or 190 ns (CXL) before it lands,
+  // more than the 100 ns floor of the poll interval.
+  nvme::CqOwner& cq_owner = d;
+  d.cq_.emplace(fabric, cq_owner, d.qps_,
+                std::max<sim::Duration>(d.cfg_.costs.poll_interval_ns, 100),
+                /*landings_lead=*/d.cfg_.costs.poll_interval_ns <= 100);
+  if (d.cfg_.use_interrupts) {
+    d.interrupt_loop(d.stop_);
+  } else {
+    d.cq_->start(host, d.cq_addr_, cq_ring_bytes * d.cfg_.channels, d.stop_);
+  }
   NVS_LOG(info, "local") << "local driver up, qid " << d.qids_[0]
                          << (d.cfg_.channels > 1
                                  ? " (+" + std::to_string(d.cfg_.channels - 1) + " channels)"
@@ -310,42 +318,23 @@ sim::Task LocalDriver::io_task(block::Request request,
   finish(std::move(status));
 }
 
-void LocalDriver::drain_cq() {
-  std::array<nvme::CompletionEntry, 32> cqes;
-  for (std::uint32_t chan = 0; chan < cfg_.channels; ++chan) {
-    bool delivered = false;
-    for (;;) {
-      const std::size_t n = qps_[chan]->reap(cqes);
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)engine_io_->complete(chan, cqes[i].cid, cqes[i].status());
-      }
-      if (n > 0) delivered = true;
-      if (n < cqes.size()) break;
-    }
-    if (delivered) (void)qps_[chan]->ring_cq_doorbell();
-  }
+void LocalDriver::cq_entry(std::uint32_t chan, const nvme::CompletionEntry& cqe) {
+  (void)engine_io_->complete(chan, cqe.cid, cqe.status());
 }
 
-sim::Task LocalDriver::completion_loop(std::shared_ptr<bool> stop) {
+sim::Task LocalDriver::interrupt_loop(std::shared_ptr<bool> stop) {
   sim::Engine& eng = cluster_.engine();
   for (;;) {
+    co_await irq_event_->wait();
     if (*stop) co_return;
-    if (cfg_.use_interrupts) {
-      co_await irq_event_->wait();
-      if (*stop) co_return;
-      ++stats_.interrupts;
-      // Reset *before* draining: an interrupt that fires while we drain
-      // leaves the event set, so its completion is picked up next round.
-      irq_event_->reset();
-      // Interrupt delivery, wakeup, and handler entry cost.
-      co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.irq_delivery_ns, rng_));
-      if (*stop) co_return;
-      drain_cq();
-    } else {
-      drain_cq();
-      co_await sim::delay(eng, std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
-      if (*stop) co_return;
-    }
+    ++stats_.interrupts;
+    // Reset *before* draining: an interrupt that fires while we drain
+    // leaves the event set, so its completion is picked up next round.
+    irq_event_->reset();
+    // Interrupt delivery, wakeup, and handler entry cost.
+    co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.irq_delivery_ns, rng_));
+    if (*stop) co_return;
+    cq_->reap();
   }
 }
 

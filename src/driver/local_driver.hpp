@@ -6,10 +6,12 @@
 // request buffers (no bounce buffer), and completes requests from MSI-X
 // interrupts — a mature, lean submission path with interrupt-driven
 // completion, exactly what Figure 9a's "stock Linux driver" scenario uses.
+// With use_interrupts off it polls its CQs instead (nvme::CqServicer).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "block/block.hpp"
@@ -17,12 +19,15 @@
 #include "driver/bringup.hpp"
 #include "driver/cost_model.hpp"
 #include "driver/irq.hpp"
+#include "nvme/cq_servicer.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
 
 namespace nvmeshare::driver {
 
-class LocalDriver final : public block::BlockDevice, private block::IoTransport {
+class LocalDriver final : public block::BlockDevice,
+                          private block::IoTransport,
+                          private nvme::CqOwner {
  public:
   struct Config {
     std::uint16_t queue_entries = 256;  ///< SQ/CQ entries per channel
@@ -66,6 +71,10 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   [[nodiscard]] BareController& controller() noexcept { return *ctrl_; }
   /// The shared submission core (per-channel inflight/doorbell metrics).
   [[nodiscard]] const block::IoEngine& io_engine() const noexcept { return *engine_io_; }
+  /// The CQ poller's grid (null with interrupts on).
+  [[nodiscard]] const sim::PollGrid* cq_poll_grid() const noexcept {
+    return cfg_.use_interrupts ? nullptr : &cq_->grid();
+  }
 
   /// Per-driver counters, also registered as `nvmeshare.local_driver.*`.
   struct Stats {
@@ -85,7 +94,8 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
                              IrqController* irq,
                              sim::Promise<Result<std::unique_ptr<LocalDriver>>> promise);
   sim::Task io_task(block::Request request, sim::Promise<block::Completion> promise);
-  sim::Task completion_loop(std::shared_ptr<bool> stop);
+  /// The MSI-X handler: reap on every interrupt.
+  sim::Task interrupt_loop(std::shared_ptr<bool> stop);
 
   // --- block::IoTransport (the local queue-pair personality) ---------------
   Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override;
@@ -94,7 +104,10 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   void start_recovery(std::uint32_t chan) override;
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
 
-  void drain_cq();
+  // --- nvme::CqOwner -----------------------------------------------------------
+  /// Never idle: the polled driver keeps its grid while nothing is in flight.
+  bool cq_idle() override { return false; }
+  void cq_entry(std::uint32_t chan, const nvme::CompletionEntry& cqe) override;
 
   sisci::Cluster& cluster_;
   Config cfg_;
@@ -114,6 +127,8 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   std::unique_ptr<sim::Event> irq_event_;
   std::shared_ptr<bool> stop_ = std::make_shared<bool>(false);
   Stats stats_;
+  /// Reaps the CQs: polling on its own, or for the interrupt handler.
+  std::optional<nvme::CqServicer> cq_;
 };
 
 }  // namespace nvmeshare::driver

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/log.hpp"
+#include "driver/bringup.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 
@@ -16,7 +17,6 @@ using nvme::SubmissionEntry;
 namespace {
 constexpr sim::Duration kRegPollNs = 1000;
 constexpr int kRegPollLimit = 1000;
-constexpr sim::Duration kAdminTimeoutNs = 50_ms;
 // Standby bring-up: how long to keep retrying the shared device acquisition
 // and the metadata lookup while the active manager is still initializing.
 constexpr sim::Duration kStandbyRetryNs = 50'000;
@@ -374,42 +374,11 @@ sim::Task Manager::init_task(std::unique_ptr<Manager> self,
 
 sim::Future<Result<CompletionEntry>> Manager::submit_admin(SubmissionEntry entry) {
   sim::Promise<Result<CompletionEntry>> promise(engine());
-  admin_task(entry, promise);
-  return promise.future();
-}
-
-sim::Task Manager::admin_task(SubmissionEntry entry,
-                              sim::Promise<Result<CompletionEntry>> promise) {
-  sim::Engine& eng = engine();
-  co_await admin_lock_->acquire();
-  auto cid = admin_qp_->push(entry);
-  if (!cid) {
-    admin_lock_->release();
-    promise.set(cid.status());
-    co_return;
-  }
   // Journal the SQ cursor before the doorbell: dying in between leaves a
   // pushed-but-unfetched entry that the successor simply overwrites.
-  journal_admin_ring();
-  co_await sim::delay(eng, cfg_.costs.doorbell_ns);
-  (void)admin_qp_->ring_sq_doorbell();
-
-  const sim::Time deadline = eng.now() + kAdminTimeoutNs;
-  for (;;) {
-    if (auto cqe = admin_qp_->poll()) {
-      (void)admin_qp_->ring_cq_doorbell();
-      journal_admin_ring();
-      admin_lock_->release();
-      promise.set(*cqe);  // NVMe-level failures are reported via cqe->status()
-      co_return;
-    }
-    if (eng.now() >= deadline) {
-      admin_lock_->release();
-      promise.set(Status(Errc::timed_out, "admin command timed out"));
-      co_return;
-    }
-    co_await sim::delay(eng, std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 200));
-  }
+  admin_command(engine(), cfg_.costs, admin_qp_, admin_lock_, entry,
+                [this]() { journal_admin_ring(); }, promise);
+  return promise.future();
 }
 
 void Manager::halt_tasks() {

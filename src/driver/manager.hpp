@@ -166,8 +166,6 @@ class Manager {
 
   static sim::Task init_task(std::unique_ptr<Manager> self,
                              sim::Promise<Result<std::unique_ptr<Manager>>> promise);
-  sim::Task admin_task(nvme::SubmissionEntry entry,
-                       sim::Promise<Result<nvme::CompletionEntry>> promise);
   sim::Task mailbox_server(std::shared_ptr<bool> stop);
   /// Set the stop flag and wake a sleeping mailbox scanner so it exits.
   void halt_tasks();

@@ -6,16 +6,20 @@
 // translated into NVMe commands against a per-command staging buffer; write
 // payloads are pulled with RDMA READ, read payloads pushed with RDMA WRITE,
 // and completion capsules SENT back. Everything is polled (SPDK-style
-// reactor), with a small per-command software cost.
+// reactor), with a small per-command software cost: each connection's
+// reactor is an nvme::CqServicer over its NVMe CQ that also drains the
+// connection's RDMA CQ every round.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "driver/bringup.hpp"
 #include "driver/cost_model.hpp"
+#include "nvme/cq_servicer.hpp"
 #include "nvmeof/capsule.hpp"
 #include "obs/metrics.hpp"
 #include "rdma/rdma.hpp"
@@ -58,6 +62,10 @@ class Target {
   [[nodiscard]] driver::BareController& controller() noexcept { return *ctrl_; }
   [[nodiscard]] rdma::Context& context() noexcept { return *ctx_; }
   [[nodiscard]] std::size_t connection_count() const noexcept { return connections_.size(); }
+  /// The grid connection `i`'s reactor polls its NVMe CQ on.
+  [[nodiscard]] const sim::PollGrid& cq_poll_grid(std::size_t i) const noexcept {
+    return connections_[i]->reactor->grid();
+  }
 
   /// Per-target counters, also registered as `nvmeshare.nvmeof_target.*`.
   struct Stats {
@@ -70,7 +78,16 @@ class Target {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Connection {
+  /// One initiator's queues; its reactor polls both CQs.
+  struct Connection final : nvme::CqOwner {
+    explicit Connection(Target& t) : target(t) {}
+    /// Route the RDMA completions (while idle one at a time, as a reactor
+    /// sleeping on its CQ wakes per completion) and report whether no
+    /// command is in flight.
+    bool cq_idle() override;
+    void cq_entry(std::uint32_t, const nvme::CompletionEntry& cqe) override;
+
+    Target& target;
     rdma::QueuePair* qp = nullptr;
     std::unique_ptr<rdma::CompletionQueue> cq;
     std::unique_ptr<nvme::QueuePair> nvme_qp;
@@ -85,6 +102,7 @@ class Target {
     std::map<std::uint64_t, sim::Promise<rdma::WorkCompletion>> wr_pending;
     std::map<std::uint16_t, sim::Promise<nvme::CompletionEntry>> nvme_pending;
     std::uint32_t inflight = 0;
+    std::optional<nvme::CqServicer> reactor;
   };
 
   Target(sisci::Cluster& cluster, rdma::Network& network, Config cfg);
@@ -93,7 +111,6 @@ class Target {
                               sim::Promise<Result<std::unique_ptr<Target>>> promise);
   sim::Task accept_task(rdma::Context* initiator_ctx, rdma::CompletionQueue* initiator_cq,
                         sim::Promise<Result<rdma::QueuePair*>> promise);
-  sim::Task connection_loop(Connection* conn, std::shared_ptr<bool> stop);
   sim::Task handle_command(Connection* conn, std::uint32_t slot, std::shared_ptr<bool> stop);
 
   /// Staging-slot max bytes (bounded by controller MDTS).

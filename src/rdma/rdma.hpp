@@ -22,6 +22,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "fabric/substrate.hpp"
+#include "sim/poll_grid.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::rdma {
@@ -56,9 +57,22 @@ class CompletionQueue {
   [[nodiscard]] auto pop_for(sim::Duration timeout) { return queue_.pop_for(timeout); }
   [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
 
+  /// Wake the poller of `grid`, which polls this CQ, on every completion:
+  /// at once if it is idle, at its next round if it sleeps.
+  void wake(sim::PollGrid* grid) noexcept { grid_ = grid; }
+
  private:
   friend class QueuePair;
+  void push(WorkCompletion wc) {
+    queue_.push(std::move(wc));
+    if (grid_ != nullptr) {
+      grid_->kick();
+      grid_->changed();
+    }
+  }
+
   sim::Mailbox<WorkCompletion> queue_;
+  sim::PollGrid* grid_ = nullptr;
 };
 
 class Network;

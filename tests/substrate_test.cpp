@@ -9,6 +9,8 @@
 
 #include "fabric/substrate.hpp"
 #include "fault/fault.hpp"
+#include "nvmeof/initiator.hpp"
+#include "nvmeof/target.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -52,30 +54,61 @@ TEST_P(SubstrateTest, LocalClientMovesData) {
   EXPECT_EQ(tb.substrate().stats().backdoor_violations.value(), 0u);
 }
 
-// The CQ poller sleeps through idle rounds and resumes one round before a
+// The CQ pollers sleep through idle rounds and resume one round before a
 // CQE lands (sim::PollGrid). That needs every CQE issued more than one poll
-// interval before it lands, for local and remote clients at QD1 and QD32.
+// interval before it lands: for local and remote clients, the NVMe-oF
+// target and the polled local driver, at QD1 and QD32.
 TEST_P(SubstrateTest, CqEntriesLeadTheirLandingByMoreThanAPollInterval) {
-  Testbed tb(config(2));
-  auto mgr = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), {}));
-  ASSERT_TRUE(mgr.has_value()) << mgr.status().to_string();
-  for (const smartio::NodeId node : {0u, 1u}) {
-    auto client = tb.wait(driver::Client::attach(tb.service(), node, tb.device_id(), {}));
-    ASSERT_TRUE(client.has_value()) << client.status().to_string();
+  auto check = [](const sim::PollGrid& grid, const char* who) {
+    EXPECT_GT(grid.min_lead(), grid.interval()) << who;
+    EXPECT_LT(grid.min_lead(), 10 * grid.interval()) << who << ": CQEs were watched";
+  };
+  auto run = [](Testbed& tb, block::BlockDevice& dev, smartio::NodeId node) {
     for (const std::uint32_t qd : {1u, 32u}) {
       workload::JobSpec spec;
       spec.pattern = workload::JobSpec::Pattern::randrw;
       spec.block_bytes = 4096;
       spec.queue_depth = qd;
       spec.ops = 256;
-      auto job = workload::run_job_blocking(tb.cluster(), **client, node, spec);
+      auto job = workload::run_job_blocking(tb.cluster(), dev, node, spec);
       ASSERT_TRUE(job.has_value()) << job.status().to_string();
       EXPECT_EQ(job->errors, 0u);
     }
-    const sim::PollGrid* grid = (*client)->cq_poll_grid();
+  };
+  {
+    Testbed tb(config(2));
+    auto mgr = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), {}));
+    ASSERT_TRUE(mgr.has_value()) << mgr.status().to_string();
+    for (const smartio::NodeId node : {0u, 1u}) {
+      auto client = tb.wait(driver::Client::attach(tb.service(), node, tb.device_id(), {}));
+      ASSERT_TRUE(client.has_value()) << client.status().to_string();
+      run(tb, **client, node);
+      const sim::PollGrid* grid = (*client)->cq_poll_grid();
+      ASSERT_NE(grid, nullptr);
+      check(*grid, node == 0 ? "local client" : "remote client");
+    }
+  }
+  {
+    Testbed tb(config(2));
+    auto target =
+        tb.wait(nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), {}));
+    ASSERT_TRUE(target.has_value()) << target.status().to_string();
+    auto initiator =
+        tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), **target, 1, {}));
+    ASSERT_TRUE(initiator.has_value()) << initiator.status().to_string();
+    run(tb, **initiator, 1);
+    check((*target)->cq_poll_grid(0), "nvme-of target");
+  }
+  {
+    Testbed tb(config(1));
+    driver::LocalDriver::Config cfg;
+    cfg.use_interrupts = false;
+    auto drv = tb.wait(driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(), nullptr, cfg));
+    ASSERT_TRUE(drv.has_value()) << drv.status().to_string();
+    run(tb, **drv, 0);
+    const sim::PollGrid* grid = (*drv)->cq_poll_grid();
     ASSERT_NE(grid, nullptr);
-    EXPECT_GT(grid->min_lead(), grid->interval()) << "client on node " << node;
-    EXPECT_LT(grid->min_lead(), 10 * grid->interval()) << "CQEs were watched";
+    check(*grid, "polled local driver");
   }
 }
 

@@ -65,6 +65,20 @@ fi
 cmp "$JSON_A" "$JSON_B"
 echo "determinism ok: identical seeds produced byte-identical documents"
 
+# The NVMe-oF baseline: its target reactor sleeps through empty poll rounds
+# on the same grid as the client (nvme::CqServicer), and an RDMA completion
+# wakes it. Same seed, byte-identical documents.
+nvmeof_smoke() {
+  "$BUILD_DIR/tools/nvsh_fio" --scenario nvmeof-remote --rw randrw --qd 8 \
+    --ops 2000 --seed 7 --json "$1" > /dev/null
+}
+NVMEOF_A="$BUILD_DIR/nvmeof_a.json"
+NVMEOF_B="$BUILD_DIR/nvmeof_b.json"
+nvmeof_smoke "$NVMEOF_A"
+nvmeof_smoke "$NVMEOF_B"
+cmp "$NVMEOF_A" "$NVMEOF_B"
+echo "nvmeof determinism ok: same-seed target runs produced byte-identical documents"
+
 # --- CXL substrate smoke ------------------------------------------------------
 # The same stack over the CXL pooled-memory substrate: bring-up, a verified
 # random mixed workload, and the determinism property must all hold with
